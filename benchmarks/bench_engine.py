@@ -7,15 +7,15 @@ amortises):
   stream of repeated ``(candidates, PF, τ)`` queries answered cold
   (stateless ``select_location``, fleet materialised per query) and
   warm (primed :class:`~repro.engine.QueryEngine`).  Warm must win.
-* ``test_bench_worker_scaling`` — the same stream with candidate-axis
-  sharding at several worker counts, confirming the sharded path stays
-  bit-identical while reporting its latency.  On single-core runners
-  this measures fork overhead, not speedup; the identity check is the
-  point.
-* ``test_bench_fault_recovery`` — the same stream with 4 workers, once
-  fault-free and once with worker 1 crashing on every query's first
-  dispatch, recording the cost of supervision (detect + backoff +
-  re-fork) against the no-fault path.
+* ``test_bench_worker_scaling`` — the same stream served serially and
+  from the worker pool at several worker counts, confirming the pooled
+  path stays bit-identical while reporting its latency.  On
+  single-core runners this measures dispatch overhead, not speedup;
+  the identity check is the point.
+* ``test_bench_fault_recovery`` — the same stream on a 4-worker pool,
+  once fault-free and once with worker 1 crashing on every query's
+  first dispatch, recording the cost of supervision (detect + respawn
+  + backoff) against the no-fault path.
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ def test_bench_serve_warm_vs_cold(benchmark, record):
 def test_bench_worker_scaling(benchmark, record):
     def sweep():
         return [
-            (workers, run_serve_bench(n_queries=6, workers=workers))
+            (workers, run_serve_bench(
+                n_queries=6, workers=workers, pool=workers >= 2
+            ))
             for workers in (0, 2, 4)
         ]
 
@@ -59,7 +61,7 @@ def test_bench_worker_scaling(benchmark, record):
     )
     baseline = results[0][1]
     for workers, result in results:
-        # Sharding must never change the answer (also asserted, with
+        # The pool must never change the answer (also asserted, with
         # full influence tables, in tests/test_engine.py).
         assert result.cache_hits == baseline.cache_hits
         assert result.cache_misses == baseline.cache_misses
@@ -84,13 +86,16 @@ def test_bench_fault_recovery(benchmark, record):
     """Supervision overhead with 1 of 4 workers crashing per query."""
     crash = FaultSpec(kind="crash", worker=1, times=1)
 
-    # PIN shards every query (PIN-VO's warm queries would serve the
-    # sharded pruning phase from the cache and never fork), so the
+    # PIN dispatches every query (PIN-VO's warm queries could serve the
+    # pooled pruning phase from the cache and never dispatch), so the
     # crash fires on each measured query, not just the priming pass.
     def sweep():
-        clean = run_serve_bench(n_queries=6, workers=4, algorithm="PIN")
+        clean = run_serve_bench(
+            n_queries=6, workers=4, pool=True, algorithm="PIN"
+        )
         faulted = run_serve_bench(
-            n_queries=6, workers=4, algorithm="PIN", faults=[crash]
+            n_queries=6, workers=4, pool=True, algorithm="PIN",
+            faults=[crash],
         )
         return clean, faulted
 

@@ -195,6 +195,9 @@ def _cmd_serve(
     if pool and workers < 2:
         print("--pool needs --workers >= 2", file=sys.stderr)
         return 2
+    if workers >= 2 and not pool:
+        print("--workers >= 2 needs --pool", file=sys.stderr)
+        return 2
     if max_inflight is not None and max_inflight < 1:
         print(
             f"--max-inflight must be >= 1, got {max_inflight}",
@@ -397,6 +400,9 @@ def _cmd_serve_bench(
             file=sys.stderr,
         )
         return 2
+    if workers >= 2 and not (pool or batch):
+        print("--workers >= 2 needs --pool", file=sys.stderr)
+        return 2
     result = run_serve_bench(
         n_queries=queries,
         workers=workers,
@@ -502,7 +508,10 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="with 'serve-bench': worker processes (default 0 = serial)",
+        help=(
+            "with 'serve-bench'/'serve': pool worker processes "
+            "(>= 2 needs --pool; default 0 = serial)"
+        ),
     )
     parser.add_argument(
         "--deadline",
@@ -529,9 +538,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         default=False,
         help=(
-            "with 'serve-bench': serve warm queries from the "
-            "persistent shared-memory worker pool instead of forking "
-            "per query (needs --workers >= 2)"
+            "with 'serve-bench'/'serve': serve queries from the "
+            "persistent shared-memory worker pool (needs --workers >= 2)"
         ),
     )
     parser.add_argument(
@@ -570,7 +578,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help=(
-            "with 'serve-bench': consecutive shard failures that trip "
+            "with 'serve-bench': consecutive span failures that trip "
             "an execution tier's circuit breaker (default 3)"
         ),
     )

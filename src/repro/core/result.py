@@ -46,25 +46,25 @@ class Instrumentation:
     heap_pops: int = 0
     #: wall-clock seconds spent in the pruning phase (IA/NIB
     #: classification, including index construction/queries); when a
-    #: query is sharded across worker processes this is the *sum* of
-    #: per-shard phase times, i.e. aggregate work, not wall time
+    #: query is split across pool workers this is the *sum* of
+    #: per-span phase times, i.e. aggregate work, not wall time
     pruning_seconds: float = 0.0
     #: wall-clock seconds spent in exact validation (same sharding caveat)
     validation_seconds: float = 0.0
-    #: worker shard dispatches that died or raised while answering
+    #: pool span dispatches that died or raised while answering
     #: (only the serving engine's supervised path ever sets these)
     worker_failures: int = 0
-    #: shard re-dispatches performed after a worker failure
+    #: span re-dispatches performed after a worker failure
     retries: int = 0
     #: 1 when the query fell back to in-parent serial execution after
     #: exhausting its retry budget (kept as an int so merge() stays
     #: uniformly additive; any nonzero value means "degraded")
     degraded: int = 0
     #: span tasks this query handed to the persistent worker pool,
-    #: including re-dispatches after failures (0 on the fork path)
+    #: including re-dispatches after failures (0 on the serial tier)
     spans_dispatched: int = 0
     #: pool workers killed and replaced while this query (or the batch
-    #: round serving it) ran (0 on the fork path)
+    #: round serving it) ran (0 on the serial tier)
     pool_respawns: int = 0
     #: engine cache entries evicted while this query was served (the
     #: serving engine's bounded LRU caches; 0 outside the engine)

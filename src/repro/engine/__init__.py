@@ -8,10 +8,8 @@
 * :mod:`repro.engine.pool` — the persistent shared-memory worker pool
   (``pool=True``): long-lived workers attach the columnar fleet/table
   exports once and serve candidate-span tasks from a dispatch queue,
-* :mod:`repro.engine.parallel` — fork-based candidate-axis sharding,
-  bit-identical to serial execution, supervised (per-shard retry with
-  bounded backoff, degrade-to-serial, hard deadline kills); the
-  fallback when no pool is enabled (or a PF cannot be pickled),
+  bit-identical to serial execution, supervised (per-span retry with
+  bounded backoff, degrade-to-serial, hard deadline kills),
 * :mod:`repro.engine.faults` — fault-injection hooks (worker crash,
   injected exception, artificial delay, plus the parent-side
   ``overload``/``memory-pressure`` kinds) and the supervisor policy
@@ -20,7 +18,7 @@
   with pluggable shedding policies and typed
   :class:`~repro.engine.admission.QueryShed` outcomes,
 * :mod:`repro.engine.breaker` — per-tier circuit breakers and the
-  lossless pool → fork → serial degradation ladder (plus the
+  lossless pool → serial degradation ladder (plus the
   ``approx`` sketch-serving floor on ``approx=True`` engines),
 * :mod:`repro.engine.cache` — bounded-memory LRU caches and the
   engine-level :class:`~repro.engine.cache.CacheBudget`,
@@ -81,8 +79,13 @@ from repro.engine.loadgen import (
     run_load_sync,
     run_server_bench,
 )
-from repro.engine.parallel import Supervisor, fork_available
-from repro.engine.pool import SEGMENT_PREFIX, WorkerPool, pool_segments
+from repro.engine.pool import (
+    SEGMENT_PREFIX,
+    Supervisor,
+    WorkerPool,
+    fork_available,
+    pool_segments,
+)
 from repro.engine.server import (
     ApiError,
     BackgroundServer,

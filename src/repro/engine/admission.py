@@ -206,7 +206,9 @@ class AdmissionController:
         ``(admitted_indices, shed)`` where ``shed`` pairs each refused
         index with its reason; both lists are in ascending request
         order, and the admitted slots are already claimed (the caller
-        must :meth:`release` them when the batch finishes).
+        must :meth:`release` them when the batch finishes).  A round
+        with no free slot at all sheds every request as ``queue-full``
+        under every policy — no request of the round displaced them.
         """
         n = len(priorities)
         with self._lock:
@@ -216,7 +218,7 @@ class AdmissionController:
                 self._inflight += n
                 self.report.admitted += n
                 return list(range(n)), []
-            if self.policy == "reject":
+            if self.policy == "reject" or free == 0:
                 admitted = list(range(free))
                 reason = "queue-full"
             elif self.policy == "oldest":

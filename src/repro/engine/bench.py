@@ -17,7 +17,7 @@ The warm engine can additionally run a chaos drill: ``faults`` arms a
 :class:`~repro.engine.faults.FaultInjector` on the engine and
 ``deadline_seconds`` bounds every warm query, so the bench doubles as
 a measurement of supervision overhead (CLI:
-``prime-ls serve-bench --workers 4 --inject-fault crash:1``).  A query
+``prime-ls serve-bench --pool --workers 4 --inject-fault crash:1``).  A query
 cut off by its deadline is counted, its wall time recorded, and the
 bench moves on — exactly how a serving deployment degrades.
 
@@ -108,7 +108,7 @@ class ServeBenchResult:
                  self.warm_ms[i], ratio],
                 float_fmt="{:.2f}",
             )
-        mode = "pool" if self.pool else "fork"
+        mode = "pool" if self.pool else "serial"
         if self.batch:
             mode += "+batch"
         lines = [
@@ -201,7 +201,7 @@ def run_serve_bench(
     per-object structures per query (see module docstring).
 
     ``pool`` serves warm queries from the persistent shared-memory
-    worker pool instead of forking per query; ``batch`` admits all warm
+    worker pool (``workers >= 2``); ``batch`` admits all warm
     queries through one :meth:`QueryEngine.query_batch` round (each
     query's latency is then its share of the batch wall time).  Pool
     and batch runs default to a *distinct* candidate set per query
@@ -312,8 +312,7 @@ def run_serve_bench(
             started = time.perf_counter()
             try:
                 engine.query_batch(
-                    requests, workers=workers,
-                    deadline_seconds=deadline_seconds,
+                    requests, deadline_seconds=deadline_seconds
                 )
             except DeadlineExceeded:
                 pass  # counted in engine.stats.deadline_exceeded below

@@ -1,15 +1,15 @@
 """Fault injection and supervision policy for the serving engine.
 
 The serving layer's robustness claims — a crashed, poisoned, or stalled
-worker shard never changes a query's answer, and a per-query deadline
+pool worker never changes a query's answer, and a per-query deadline
 is honoured — are only testable if faults can be provoked on demand.
 This module supplies that machinery:
 
 * :class:`FaultSpec` / :class:`FaultInjector` — declarative fault
   schedules (worker crash, injected exception, artificial delay) keyed
-  by worker/shard index, engine query id, and dispatch attempt.  The
-  injector is consulted by :mod:`repro.engine.parallel` inside each
-  forked worker, immediately before the shard task runs; worker faults
+  by pool worker slot, engine query id, and dispatch attempt.  The
+  injector is consulted by :mod:`repro.engine.pool` inside each pool
+  worker, immediately before the span task runs; worker faults
   never fire in the parent process, so the retry and degrade-to-serial
   paths are fault-free by construction.  The *parent-side* kinds drive
   the overload-resilience layer instead of workers: ``overload``
@@ -19,10 +19,10 @@ This module supplies that machinery:
   evictions), and ``exact-down`` force-opens every exact tier's
   breaker (driving an approx-enabled engine onto its approximate
   floor) — see :meth:`FaultInjector.parent_faults`.
-* :class:`SupervisorPolicy` — the retry/backoff knobs the supervisor
-  in :func:`repro.engine.parallel.run_sharded` obeys.
-* :class:`SupervisorReport` — what actually happened to one query's
-  shards (failures, retries, degradation, deadline overrun); the
+* :class:`SupervisorPolicy` — the retry/backoff knobs the worker pool
+  (:class:`repro.engine.pool.WorkerPool`) obeys.
+* :class:`SupervisorReport` — what actually happened to one round's
+  spans (failures, retries, degradation, deadline overrun); the
   engine folds it into :class:`~repro.engine.session.EngineStats`,
   the result's :class:`~repro.core.result.Instrumentation`, and the
   per-query JSONL metrics.
@@ -47,8 +47,8 @@ WORKER_FAULT_KINDS = ("crash", "exception", "delay")
 #: boundary: "overload" injects phantom in-flight load so admission
 #: control sheds real queries, "memory-pressure" trims every engine
 #: cache to one entry so eviction paths run on demand, and
-#: "exact-down" force-opens every exact tier's circuit breaker (pool,
-#: fork, and — on an approx-enabled engine — serial) so the chaos
+#: "exact-down" force-opens every exact tier's circuit breaker (pool
+#: and — on an approx-enabled engine — serial) so the chaos
 #: drill for the approximate floor is deterministic, and
 #: "update-storm" injects phantom pending updates at the subscription
 #: engine's ingest-admission boundary so update-burst shedding can be
@@ -89,8 +89,8 @@ class FaultSpec:
     """One scheduled fault.
 
     ``worker``/``query`` restrict where the fault fires (``None`` means
-    any shard / any query); ``times`` is how many *dispatch attempts*
-    of a matching shard it hits, so ``times=1`` fails the first attempt
+    any worker / any query); ``times`` is how many *dispatch attempts*
+    of a matching span it hits, so ``times=1`` fails the first attempt
     and lets the supervisor's retry succeed, while ``times`` larger
     than the retry budget forces the degrade-to-serial path.
 
@@ -101,7 +101,7 @@ class FaultSpec:
     """
 
     kind: str                    # one of FAULT_KINDS
-    worker: int | None = None    # shard index to hit; None = every shard
+    worker: int | None = None    # pool worker slot; None = every worker
     query: int | None = None     # engine query id to hit; None = every query
     delay_seconds: float = 0.05  # sleep length for "delay" faults
     times: int = 1               # number of attempts the fault fires on
@@ -120,7 +120,7 @@ class FaultSpec:
             raise ValueError(f"times must be >= 1, got {self.times}")
 
     def matches(self, worker: int, query: int | None, attempt: int) -> bool:
-        """Whether this fault fires for the given shard dispatch."""
+        """Whether this fault fires for the given span dispatch."""
         if attempt >= self.times:
             return False
         if self.worker is not None and self.worker != worker:
@@ -134,9 +134,9 @@ class FaultSpec:
         """Parse the CLI form ``KIND[:WORKER[:QUERY[:SECONDS]]]``.
 
         ``*`` for ``WORKER``/``QUERY`` means "any", e.g.
-        ``crash:1`` (crash shard 1 of every query),
-        ``exception:*:0`` (poison every shard of query 0),
-        ``delay:0:*:0.5`` (stall shard 0 for half a second).
+        ``crash:1`` (crash worker 1 on every query),
+        ``exception:*:0`` (poison every span of query 0),
+        ``delay:0:*:0.5`` (stall worker 0 for half a second).
         """
         parts = text.split(":")
         if not 1 <= len(parts) <= 4:
@@ -174,8 +174,8 @@ class FaultSpec:
 class FaultInjector:
     """A set of :class:`FaultSpec` consulted by worker processes.
 
-    The injector is inherited by each forked worker (copy-on-write), so
-    ``fire`` runs in the child: a ``delay`` sleeps, an ``exception``
+    The injector travels to pool workers with each span message, so
+    ``fire`` runs in the worker: a ``delay`` sleeps, an ``exception``
     raises :class:`InjectedFault`, and a ``crash`` hard-exits the
     worker with :data:`CRASH_EXIT_CODE` (no cleanup — modelling a
     SIGKILL'd or OOM-killed process).  Matching is purely a function of
@@ -198,7 +198,7 @@ class FaultInjector:
     def matching(
         self, worker: int, query: int | None, attempt: int
     ) -> list[FaultSpec]:
-        """The worker faults that would fire for this shard dispatch."""
+        """The worker faults that would fire for this span dispatch."""
         return [
             f for f in self.faults
             if f.kind in WORKER_FAULT_KINDS
@@ -250,9 +250,9 @@ class FaultInjector:
 
 @dataclass
 class SupervisorPolicy:
-    """Retry/backoff knobs for the shard supervisor.
+    """Retry/backoff knobs for the pool's span supervision.
 
-    A failed shard is re-dispatched up to ``max_retries`` times with
+    A failed span is re-dispatched up to ``max_retries`` times with
     exponential backoff (``backoff_seconds * backoff_multiplier**k``,
     capped at ``backoff_cap_seconds`` and by the remaining deadline
     budget); once retries are exhausted the surviving spans run
@@ -276,19 +276,18 @@ class SupervisorPolicy:
 class SupervisorReport:
     """What supervision observed while answering one query (or batch)."""
 
-    #: shard dispatch attempts that died (crash, error, or EOF)
+    #: span dispatch attempts that died (crash, error, or EOF)
     worker_failures: int = 0
-    #: shard re-dispatches performed after a failure
+    #: span re-dispatches performed after a failure
     retries: int = 0
     #: the query fell back to in-parent serial execution
     degraded: bool = False
     #: the query was cut off by its deadline
     deadline_exceeded: bool = False
     #: span tasks handed to the persistent pool, including re-dispatches
-    #: (zero on the fork-per-query path)
     spans_dispatched: int = 0
     #: persistent-pool workers killed and replaced while serving
-    #: (crashes and deadline kills alike; zero on the fork path)
+    #: (crashes and deadline kills alike)
     respawns: int = 0
     #: human-readable trail of what happened, in order
     events: list[str] = field(default_factory=list)

@@ -1,16 +1,26 @@
 """Persistent shared-memory worker pool for the serving engine.
 
-The fork-per-query path in :mod:`repro.engine.parallel` pays process
-startup and copy-on-write page faults on *every* dispatch (and again on
-every retry).  This module amortises that cost the way the engine's
-caches amortise table construction: ``QueryEngine`` lazily starts N
-long-lived workers, publishes the columnar export of each cached
-``(PF, τ)`` object table (:meth:`ObjectTable.to_columnar`) — and, for
-NA, the raw fleet — in ``multiprocessing.shared_memory`` segments, and
-thereafter every query only ships span *bounds* and candidate slices
-down a per-worker pipe.  Workers rebuild tables as zero-copy views into
-the shared position block (:meth:`ObjectTable.from_columnar`), so a
-warm query touches no table memory it does not read.
+The candidate axis is split into contiguous column spans
+(:func:`column_spans`); each span is resolved independently and the
+parent concatenates the per-span arrays and merges the work counters.
+Because every object-candidate pair is computed independently in the
+pooled phases (PIN/NA influence tables, PIN-VO's pruning phase), the
+merged output is bit-identical to serial execution.  PIN-VO's
+heap-driven validation phase is inherently sequential — Strategy 1
+compares candidates against a global bound — so it always runs in the
+parent, on the merged pruning output.
+
+Starting a worker per query would pay process startup and
+copy-on-write page faults on *every* dispatch.  This module amortises
+that cost the way the engine's caches amortise table construction:
+``QueryEngine`` lazily starts N long-lived workers, publishes the
+columnar export of each cached ``(PF, τ)`` object table
+(:meth:`ObjectTable.to_columnar`) — and, for NA, the raw fleet — in
+``multiprocessing.shared_memory`` segments, and thereafter every query
+only ships span *bounds* and candidate slices down a per-worker pipe.
+Workers rebuild tables as zero-copy views into the shared position
+block (:meth:`ObjectTable.from_columnar`), so a warm query touches no
+table memory it does not read.
 
 Dispatch protocol (all messages are plain picklable tuples):
 
@@ -27,15 +37,16 @@ Dispatch protocol (all messages are plain picklable tuples):
   child the parent hangs under the query's span tree.
 * ``("stop",)`` — detach segments and exit.
 
-Supervision mirrors the PR-2 fork-path semantics, adapted to long-lived
-workers: a dead worker is detected via its process sentinel (not pipe
-EOF — sibling forks inherit copies of the other pipes' fds, which would
-defeat EOF detection) alongside its result pipe, any buffered results
-are drained first, the worker is respawned (and lazily re-attached),
-and its in-flight spans are re-dispatched with bounded backoff.  Once a
-span exhausts :attr:`SupervisorPolicy.max_retries` — or the pool
-tier's circuit breaker (:mod:`repro.engine.breaker`) trips, cancelling
-further retries at a tier the ladder has given up on — it degrades to a
+Supervision (one :class:`Supervisor` per admission round): a dead
+worker is detected via its process sentinel (not pipe EOF — sibling
+forks inherit copies of the other pipes' fds, which would defeat EOF
+detection) alongside its result pipe, or by a failed ``send`` when it
+died idle between rounds; any buffered results are drained first, the
+worker is respawned (and lazily re-attached), and its in-flight spans
+are re-dispatched with bounded backoff.  Once a span exhausts
+:attr:`SupervisorPolicy.max_retries` — or the pool tier's circuit
+breaker (:mod:`repro.engine.breaker`) trips, cancelling further
+retries at a tier the ladder has given up on — it degrades to a
 serial in-parent run over the task's ``local_context`` — fault hooks
 never fire in the parent, so the degraded pass is fault-free by
 construction.  A deadline overrun hard-kills the busy workers (then
@@ -60,6 +71,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 import uuid
 import weakref
@@ -78,7 +90,12 @@ from repro.core.object_table import (
     fleet_from_columnar,
 )
 from repro.core.result import Instrumentation
-from repro.engine.faults import DeadlineExceeded, SupervisorPolicy
+from repro.engine.faults import (
+    DeadlineExceeded,
+    FaultInjector,
+    SupervisorPolicy,
+    SupervisorReport,
+)
 from repro.engine.trace import record_span
 
 #: every pool segment's name starts with this, so leak checks can scan
@@ -89,6 +106,82 @@ SEGMENT_PREFIX = "pinls_"
 #: pipe, so a worker never idles between spans but a death never loses
 #: more than two dispatches
 MAX_INFLIGHT = 2
+
+
+def fork_available() -> bool:
+    """Whether fork-based worker processes are supported here."""
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def column_spans(m: int, shards: int) -> list[tuple[int, int]]:
+    """Split ``m`` candidate columns into ≤ ``shards`` contiguous spans."""
+    shards = max(1, min(shards, m))
+    bounds = np.linspace(0, m, shards + 1).astype(int)
+    return [
+        (int(bounds[i]), int(bounds[i + 1]))
+        for i in range(shards)
+        if bounds[i] < bounds[i + 1]
+    ]
+
+
+class Supervisor:
+    """Supervision state for one admission round's pool dispatch.
+
+    Carries the absolute deadline, the fault injector handed to
+    workers, the executing tier's circuit breaker, and the
+    :class:`SupervisorReport` the engine folds into its stats (the
+    retry budget is the pool's :class:`SupervisorPolicy`).  One
+    instance per round of :meth:`QueryEngine.query` /
+    :meth:`QueryEngine.query_batch`.
+    """
+
+    def __init__(
+        self,
+        *,
+        injector: FaultInjector | None = None,
+        deadline_seconds: float | None = None,
+        breaker=None,
+    ):
+        self.injector = injector
+        #: the executing tier's CircuitBreaker.  Span failures feed it,
+        #: and a breaker that trips mid-round cancels the remaining
+        #: retries — the ladder will route the *next* round lower
+        #: instead of this one burning backoff on a dead tier.
+        self.breaker = breaker
+        self.report = SupervisorReport()
+        self.deadline_seconds = deadline_seconds
+        self.started_at = time.monotonic()
+        self.deadline_at = (
+            self.started_at + deadline_seconds
+            if deadline_seconds is not None
+            else None
+        )
+
+    def elapsed(self) -> float:
+        """Seconds since the supervisor (i.e. the round) started."""
+        return time.monotonic() - self.started_at
+
+    def remaining(self) -> float | None:
+        """Seconds left in the budget, or ``None`` when unbounded."""
+        if self.deadline_at is None:
+            return None
+        return self.deadline_at - time.monotonic()
+
+    def check_deadline(self) -> None:
+        """Raise :class:`DeadlineExceeded` if the budget is spent.
+
+        Serial sections (PIN-VO validation, the degraded fallback, the
+        serial tier) call this at phase boundaries — cooperative
+        enforcement, versus the hard kill applied to workers.
+        """
+        remaining = self.remaining()
+        if remaining is not None and remaining <= 0:
+            self.report.deadline_exceeded = True
+            self.report.note(
+                f"deadline of {self.deadline_seconds:.3f}s exceeded "
+                f"after {self.elapsed():.3f}s"
+            )
+            raise DeadlineExceeded(self.deadline_seconds, self.elapsed())
 
 
 def pool_segments() -> list[str]:
@@ -159,7 +252,6 @@ class SpanTask:
     """
 
     task_id: int
-    query_index: int          # position of the owning query in its batch
     segment_key: tuple        # which shared segment the worker reads
     kind: str                 # "na" | "pin" | "vo_prune"
     algorithm: str            # registry name to rebuild the solver from
@@ -186,7 +278,7 @@ class SpanTask:
 
 
 def _execute_span(kind: str, solver, data, cand_slice, pf, tau):
-    """Run one span the exact way the fork-path shard functions do.
+    """Run one span: ``kind`` picks the solver phase and its data.
 
     Returns ``(payload, counters, span_record)`` — the record is the
     worker-measured trace child shipped back with the result so the
@@ -368,7 +460,7 @@ class WorkerPool:
     def __init__(self, size: int, policy: SupervisorPolicy | None = None):
         if size < 2:
             raise ValueError(f"a worker pool needs size >= 2, got {size}")
-        if not _fork_available():
+        if not fork_available():
             raise RuntimeError("WorkerPool requires the fork start method")
         self.size = int(size)
         self.policy = policy or SupervisorPolicy()
@@ -385,6 +477,12 @@ class WorkerPool:
         self._segments: dict[tuple, tuple] = {}
         self._workers: list[_PoolWorker] = []
         self._closed = False
+        # One dispatch round at a time.  Concurrent callers (the HTTP
+        # front end runs the engine on several threads) would share the
+        # workers' pipes and in-flight maps: one round's death handling
+        # requeues another's spans, and a round can wait forever on a
+        # reply the other round already consumed.
+        self._lock = threading.Lock()
         #: workers killed and replaced over the pool's lifetime
         self.respawns = 0
         self._state = {"pid": os.getpid(), "procs": [], "shms": []}
@@ -414,43 +512,46 @@ class WorkerPool:
         tau: float = 0.0,
     ) -> None:
         """Publish ``builder()`` under ``key`` if not already published."""
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if key in self._segments:
-            return
-        shm, meta = _pack_segment(builder())
-        self._segments[key] = (shm, meta, pf, tau)
-        self._state["shms"].append(shm)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("pool is closed")
+            if key in self._segments:
+                return
+            shm, meta = _pack_segment(builder())
+            self._segments[key] = (shm, meta, pf, tau)
+            self._state["shms"].append(shm)
 
     def close(self) -> None:
-        """Stop workers, join them, unlink every segment.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers:
-            try:
-                worker.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for worker in self._workers:
-            worker.process.join(
-                timeout=max(0.0, deadline - time.monotonic())
-            )
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join()
-            worker.conn.close()
-        self._workers = []
-        for shm, _meta, _pf, _tau in self._segments.values():
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-        self._segments.clear()
-        self._state["shms"].clear()
-        self._finalizer.detach()
+        """Stop workers, join them, unlink every segment.  Idempotent;
+        waits for a dispatch round in progress to finish first."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            for worker in self._workers:
+                try:
+                    worker.conn.send(("stop",))
+                except (BrokenPipeError, OSError):
+                    pass
+            deadline = time.monotonic() + 2.0
+            for worker in self._workers:
+                worker.process.join(
+                    timeout=max(0.0, deadline - time.monotonic())
+                )
+                if worker.process.is_alive():
+                    worker.process.kill()
+                    worker.process.join()
+                worker.conn.close()
+            self._workers = []
+            for shm, _meta, _pf, _tau in self._segments.values():
+                shm.close()
+                try:
+                    shm.unlink()
+                except FileNotFoundError:
+                    pass
+            self._segments.clear()
+            self._state["shms"].clear()
+            self._finalizer.detach()
 
     @property
     def closed(self) -> bool:
@@ -472,42 +573,45 @@ class WorkerPool:
     def run_batch(self, tasks: list[SpanTask], supervisor) -> dict:
         """Dispatch ``tasks``, supervise, return ``{task_id: result}``.
 
-        ``supervisor`` is the per-query/batch
-        :class:`~repro.engine.parallel.Supervisor`; its report is
+        ``supervisor`` is the round's :class:`Supervisor`; its report is
         updated in place (failures, retries, respawns, spans) and its
         deadline is enforced — on overrun every busy worker is killed,
         respawned, and joined before ``DeadlineExceeded`` propagates.
+        Concurrent callers are served one round at a time.
         """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        for task in tasks:
-            task.attempt = 0
-            task.failures = 0
-            task.retries = 0
-            task.degraded = False
-        results: dict[int, Any] = {}
-        degraded: list[SpanTask] = []
-        pending: deque[SpanTask] = deque(tasks)
-        try:
-            while pending or any(w.inflight for w in self._workers):
-                supervisor.check_deadline()
-                self._fill(pending, supervisor)
-                self._wait_round(supervisor, results, pending, degraded)
-        except DeadlineExceeded:
-            self._kill_busy(supervisor)
-            raise
-        if degraded:
-            supervisor.report.degraded = True
-            supervisor.report.note(
-                f"running {len(degraded)} exhausted span(s) serially "
-                "in the parent"
-            )
-            for task in degraded:
-                supervisor.check_deadline()
-                results[task.task_id] = _run_local(task)
-        return results
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("pool is closed")
+            for task in tasks:
+                task.attempt = 0
+                task.failures = 0
+                task.retries = 0
+                task.degraded = False
+            results: dict[int, Any] = {}
+            degraded: list[SpanTask] = []
+            pending: deque[SpanTask] = deque(tasks)
+            try:
+                while pending or any(w.inflight for w in self._workers):
+                    supervisor.check_deadline()
+                    self._fill(supervisor, results, pending, degraded)
+                    self._wait_round(supervisor, results, pending, degraded)
+            except DeadlineExceeded:
+                self._kill_busy(supervisor)
+                raise
+            if degraded:
+                supervisor.report.degraded = True
+                supervisor.report.note(
+                    f"running {len(degraded)} exhausted span(s) serially "
+                    "in the parent"
+                )
+                for task in degraded:
+                    supervisor.check_deadline()
+                    results[task.task_id] = _run_local(task)
+            return results
 
-    def _fill(self, pending: deque, supervisor) -> None:
+    def _fill(
+        self, supervisor, results: dict, pending: deque, degraded: list
+    ) -> None:
         """Hand pending tasks to the least-loaded workers."""
         while pending:
             target = min(
@@ -518,19 +622,24 @@ class WorkerPool:
             )
             if target is None:
                 return
-            self._dispatch(pending.popleft(), target, supervisor)
-
-    def _dispatch(
-        self, task: SpanTask, worker: _PoolWorker, supervisor
-    ) -> None:
-        key = task.segment_key
-        if key not in worker.attached:
-            shm, meta, pf, tau = self._segments[key]
-            worker.conn.send(("attach", key, shm.name, meta, pf, tau))
-            worker.attached.add(key)
-        worker.conn.send(task.message(supervisor.injector))
-        worker.inflight[task.task_id] = task
-        supervisor.report.spans_dispatched += 1
+            task = pending.popleft()
+            target.inflight[task.task_id] = task
+            supervisor.report.spans_dispatched += 1
+            key = task.segment_key
+            try:
+                if key not in target.attached:
+                    shm, meta, pf, tau = self._segments[key]
+                    target.conn.send(("attach", key, shm.name, meta, pf, tau))
+                    target.attached.add(key)
+                target.conn.send(task.message(supervisor.injector))
+            except OSError:
+                # The worker died since its last reply (between rounds,
+                # or right after failing an earlier span of this one):
+                # a failed send is a death like any other.
+                target.process.kill()
+                self._handle_death(
+                    target, supervisor, pending, degraded, results
+                )
 
     def _wait_round(
         self, supervisor, results: dict, pending: deque, degraded: list
@@ -709,7 +818,3 @@ class WorkerPool:
                 f"deadline expired: {killed} busy pool worker(s) killed "
                 "and respawned"
             )
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()

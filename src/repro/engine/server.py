@@ -1,7 +1,7 @@
 """Multi-tenant asyncio HTTP front end for the serving engine.
 
 Everything *behind* the socket already exists — bounded admission,
-the circuit-broken pool → fork → serial degradation ladder, the
+the circuit-broken pool → serial degradation ladder, the
 sketch-based approximate floor, tracing and Prometheus metrics.  This
 module is the socket: a stdlib-``asyncio`` HTTP/1.1 server that turns
 the :class:`~repro.engine.session.QueryEngine` into a network service

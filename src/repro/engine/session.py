@@ -18,9 +18,9 @@ on every call; the engine ingests Ω once and amortises that work:
   (``pairs_pruned_*``) are replayed into the query's instrumentation
   so pruned fractions stay meaningful, while the ``*_seconds`` fields
   keep reporting the time actually spent,
-* **process parallelism** — ``workers=N`` shards the candidate axis
-  across forked worker processes (see :mod:`repro.engine.parallel`),
-  bit-identical to serial execution,
+* **process parallelism** — ``pool=True, workers=N`` serves the
+  candidate axis from N persistent shared-memory workers (see
+  :mod:`repro.engine.pool`), bit-identical to serial execution,
 * **observability** — hit/miss counters (:class:`EngineStats`), a
   per-query JSONL metrics log with per-phase
   ``pruning_seconds``/``validation_seconds``, and a :meth:`health`
@@ -31,7 +31,7 @@ on every call; the engine ingests Ω once and amortises that work:
   :class:`~repro.engine.admission.QueryShed` outcomes instead of
   letting latency grow without bound; a circuit-broken degradation
   ladder (:mod:`repro.engine.breaker`) walks repeated tier failures
-  down pool → fork → serial and self-heals; every cache is a bounded
+  down pool → serial and self-heals; every cache is a bounded
   LRU (:mod:`repro.engine.cache`) with eviction counters, and the
   in-memory metrics record list is capped (``records_dropped``).
 
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -78,18 +79,14 @@ from repro.engine.faults import (
     SupervisorPolicy,
 )
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.parallel import (
-    ShardContext,
+from repro.engine.pool import (
+    SpanTask,
     Supervisor,
-    _naive_shard,
-    _pin_shard,
-    _vo_pruning_shard,
+    WorkerPool,
     column_spans,
     fork_available,
-    run_sharded,
 )
-from repro.engine.pool import SpanTask, WorkerPool
-from repro.engine.trace import NOOP_SPAN, Tracer
+from repro.engine.trace import Tracer
 from repro.index.rtree import RTree
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -116,16 +113,16 @@ class EngineStats:
     sketch_misses: int = 0
     #: queries answered from the approximate tier (labelled, bounded)
     approx_queries: int = 0
-    #: worker shard dispatches that died or raised, across all queries
+    #: pool span dispatches that died or raised, across all queries
     worker_failures: int = 0
-    #: shard re-dispatches performed after worker failures
+    #: span re-dispatches performed after worker failures
     retries: int = 0
     #: queries that fell back to in-parent serial execution
     degraded: int = 0
     #: queries cut off by their ``deadline_seconds``
     deadline_exceeded: int = 0
     #: span tasks handed to the persistent worker pool, including
-    #: re-dispatches after failures (fork-per-query dispatches excluded)
+    #: re-dispatches after failures
     spans_dispatched: int = 0
     #: pool workers killed and replaced (crashes and deadline kills)
     pool_respawns: int = 0
@@ -228,8 +225,9 @@ class QueryRequest:
 
 
 @dataclass
-class _BatchPlan:
-    """Planning state for one request of a pooled batch."""
+class _Plan:
+    """How one request of an admission round executes, decided once by
+    :meth:`QueryEngine._plan` and carried out by ``_assemble``."""
 
     request: QueryRequest
     solver: Any
@@ -238,18 +236,23 @@ class _BatchPlan:
     candidates: list
     cand_xy: np.ndarray
     query_id: int
-    #: "vo" (pooled PIN-VO), "table" (pooled PIN/NA), or "serial"
-    mode: str = "serial"
+    #: admission-round size, stamped into the JSONL record and trace
+    batch_size: int
+    #: this request's span tree (NOOP_SPAN when tracing is off)
+    trace: Any
+    #: "pool" (spans dispatched, or a pool-tier pruning hit), "serial",
+    #: or "approx" (answered from the sketch, for ``approx_reason``)
+    tier: str = "serial"
+    approx_reason: str | None = None
     table: ObjectTable | None = None
-    #: for mode "vo": "dispatch" (this plan owns the pruning round) or
-    #: "cached" (already memoised, or owned by an earlier batch member)
+    #: PIN-VO only: "dispatch" (pool spans compute it), "compute" (the
+    #: parent computes it), or "cached" (memoised before this request,
+    #: or computed by an earlier request of the round)
     pruning: str | None = None
     pruning_key: tuple | None = None
     tasks: list = field(default_factory=list)
-    #: this request's span tree (NOOP_SPAN when tracing is off) and its
-    #: child covering the shared pool dispatch round
-    trace: Any = NOOP_SPAN
-    dispatch_span: Any = NOOP_SPAN
+    #: cache evictions caused while planning this request
+    evictions: int = 0
 
 
 class QueryEngine:
@@ -257,15 +260,12 @@ class QueryEngine:
 
     ::
 
-        engine = QueryEngine(objects, workers=4, metrics_path="metrics.jsonl")
+        engine = QueryEngine(objects, pool=True, workers=4,
+                             metrics_path="metrics.jsonl")
         r1 = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
         r2 = engine.query(candidates, pf=pf, tau=0.7)   # table + candidates cached
         engine.stats.table_hits                         # -> 1
     """
-
-    #: algorithms whose candidate axis the engine can shard across
-    #: worker processes (PIN-VO* inherits from PIN-VO)
-    PARALLEL_ALGORITHMS = ("NA", "PIN", "PIN-VO", "PIN-VO*")
 
     #: algorithms the approximate tier can answer for — everything
     #: whose result is the per-candidate influence count that an
@@ -296,6 +296,11 @@ class QueryEngine:
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
+        if workers >= 2 and not pool:
+            raise ValueError(
+                f"workers >= 2 needs pool=True (got workers={workers}): "
+                "parallel execution runs on the worker pool"
+            )
         if approx_k < 1:
             raise ValueError(f"approx_k must be >= 1, got {approx_k}")
         if not 0.0 < approx_delta < 1.0:
@@ -312,20 +317,22 @@ class QueryEngine:
         if not self.objects:
             raise ValueError("need at least one moving object")
         # Ingest: force every object's lazy MBR memo now so no query
-        # (and no forked worker) pays for it later.  Position arrays
+        # (and no pool worker) pays for it later.  Position arrays
         # are already materialised, read-only, on the objects.
         for obj in self.objects:
             _ = obj.mbr
         self.ingest_seconds = time.perf_counter() - started
         self.workers = int(workers)
-        #: serve sharded spans from the persistent shared-memory worker
-        #: pool (:mod:`repro.engine.pool`) instead of forking per query
-        self.use_pool = bool(pool)
+        #: serve candidate spans from the persistent shared-memory
+        #: worker pool (:mod:`repro.engine.pool`); a pool needs two
+        #: workers and the fork start method, else queries run serially
+        self.use_pool = bool(pool) and self.workers >= 2 and fork_available()
         self._pool: WorkerPool | None = None
+        self._pool_lock = threading.Lock()
         #: fault hooks handed to every worker dispatch (testing/chaos
         #: drills only — leave ``None`` in production)
         self.fault_injector = fault_injector
-        #: retry/backoff knobs the per-query supervisor obeys
+        #: retry/backoff knobs the per-round supervisor obeys
         self.supervisor_policy = supervisor_policy or SupervisorPolicy()
         self.stats = EngineStats()
         self.metrics_path = Path(metrics_path) if metrics_path else None
@@ -374,7 +381,7 @@ class QueryEngine:
             )
             if max_inflight is not None else None
         )
-        #: the circuit-broken pool → fork → serial(→ approx)
+        #: the circuit-broken pool → serial(→ approx)
         #: degradation ladder; with ``approx=True`` serial gets a
         #: breaker too and the sketch tier becomes the floor
         self.ladder = DegradationLadder(
@@ -508,7 +515,7 @@ class QueryEngine:
         record-log fill — everything an operator needs to see overload
         and degradation without parsing the JSONL stream.
         """
-        candidates = self._tier_candidates()
+        candidates = self._tiers()
         tier = self.ladder.select(candidates)
         if self._closed:
             status = "closed"
@@ -604,10 +611,10 @@ class QueryEngine:
         ).set_function(lambda: self.stats.sketch_misses)
         for name, help_text, fn in (
             ("pinls_worker_failures_total",
-             "Worker shard dispatches that died or raised.",
+             "Pool span dispatches that died or raised.",
              lambda: self.stats.worker_failures),
             ("pinls_retries_total",
-             "Shard re-dispatches after worker failures.",
+             "Span re-dispatches after worker failures.",
              lambda: self.stats.retries),
             ("pinls_degraded_total",
              "Queries that fell back to in-parent serial execution.",
@@ -712,14 +719,20 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Worker-pool lifecycle
     # ------------------------------------------------------------------
-    def _pool_for(self, workers: int) -> WorkerPool:
-        """The session's persistent pool, started on first pooled query."""
-        if self._pool is None or self._pool.closed:
-            self._pool = WorkerPool(
-                max(2, self.workers, workers),
-                policy=self.supervisor_policy,
-            )
-        return self._pool
+    def _pool_for(self) -> WorkerPool:
+        """The session's persistent pool, started on first pooled query.
+
+        Locked: engine threads racing here would start two pools, one
+        forking its workers while the other holds multiprocessing's
+        resource-tracker lock — a worker forked then deadlocks on its
+        first shared-memory attach.
+        """
+        with self._pool_lock:
+            if self._pool is None or self._pool.closed:
+                self._pool = WorkerPool(
+                    self.workers, policy=self.supervisor_policy
+                )
+            return self._pool
 
     def close(self) -> None:
         """Shut down the session: workers stopped and joined, every
@@ -757,70 +770,49 @@ class QueryEngine:
     @staticmethod
     def _poolable(pf: ProbabilityFunction) -> bool:
         """Whether ``pf`` can travel to pool workers (span messages are
-        pickled, unlike the fork path's copy-on-write inheritance)."""
+        pickled)."""
         try:
             pickle.dumps(pf)
         except Exception:
             return False
         return True
 
-    def _pool_segment_key(self, kind: str, pf, tau: float) -> tuple:
-        return (
-            ("fleet",) if kind == "na"
-            else ("table", _pf_key(pf), float(tau))
-        )
-
-    def _ensure_pool_segment(
-        self, pool: WorkerPool, kind: str, pf, tau: float,
-        table: ObjectTable | None,
-    ) -> tuple:
-        """Publish the table (or fleet) segment ``kind`` reads; returns
-        its key.  One segment per ``(PF, τ)`` serves both PIN spans and
-        PIN-VO pruning spans; NA reads the single radius-free fleet
-        segment."""
-        key = self._pool_segment_key(kind, pf, tau)
+    def _span_tasks(self, plan: _Plan, kind: str, start_id: int) -> list:
+        """Publish the segment ``kind`` reads and build the pool tasks
+        for one request's candidate spans.  One table segment per
+        ``(PF, τ)`` serves both PIN spans and PIN-VO pruning spans; NA
+        reads the single radius-free fleet segment."""
+        pool = self._pool_for()
         if kind == "na":
-            pool.ensure_segment(
-                key, lambda: fleet_to_columnar(self.objects)
-            )
+            key: tuple = ("fleet",)
+            pool.ensure_segment(key, lambda: fleet_to_columnar(self.objects))
+            local: Any = self.objects
         else:
-            pool.ensure_segment(key, table.to_columnar, pf, tau)
-        return key
-
-    def _span_tasks(
-        self,
-        kind: str,
-        segment_key: tuple,
-        algorithm: str,
-        algorithm_kwargs: dict,
-        pf,
-        tau: float,
-        cand_xy: np.ndarray,
-        shards: int,
-        query_index: int,
-        query_id: int | None,
-        local_context,
-        start_id: int = 0,
-    ) -> list[SpanTask]:
-        """Build the pool tasks for one query's candidate spans."""
-        tasks = []
-        for lo, hi in column_spans(cand_xy.shape[0], shards):
-            tasks.append(SpanTask(
-                task_id=start_id + len(tasks),
-                query_index=query_index,
-                segment_key=segment_key,
+            key = ("table", _pf_key(plan.pf), plan.tau)
+            pool.ensure_segment(
+                key, plan.table.to_columnar, plan.pf, plan.tau
+            )
+            local = plan.table
+        req = plan.request
+        return [
+            SpanTask(
+                task_id=start_id + n,
+                segment_key=key,
                 kind=kind,
-                algorithm=algorithm,
-                algorithm_kwargs=dict(algorithm_kwargs),
-                pf=pf,
-                tau=float(tau),
-                cand_slice=cand_xy[lo:hi],
+                algorithm=req.algorithm,
+                algorithm_kwargs=dict(req.algorithm_kwargs),
+                pf=plan.pf,
+                tau=plan.tau,
+                cand_slice=plan.cand_xy[lo:hi],
                 lo=lo,
                 hi=hi,
-                query_id=query_id,
-                local_context=local_context,
-            ))
-        return tasks
+                query_id=plan.query_id,
+                local_context=local,
+            )
+            for n, (lo, hi) in enumerate(
+                column_spans(plan.cand_xy.shape[0], self.workers)
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Queries
@@ -831,7 +823,6 @@ class QueryEngine:
         pf: ProbabilityFunction | None = None,
         tau: float = 0.7,
         algorithm: str = "PIN-VO",
-        workers: int | None = None,
         deadline_seconds: float | None = None,
         priority: int = 0,
         tenant: str | None = None,
@@ -842,28 +833,26 @@ class QueryEngine:
         Same semantics (and bit-identical results) as
         ``select_location(objects, candidates, pf, tau, algorithm)``,
         but per-object and per-candidate work is served from the
-        session caches.  ``workers`` overrides the engine default for
-        this query; sharded execution applies to NA (vector kernel),
-        PIN, and PIN-VO's pruning phase, and falls back to serial for
-        everything else.
+        session caches.  On a pool engine (``pool=True``) NA (vector
+        kernel), PIN, and PIN-VO's pruning phase run as candidate spans
+        on the worker pool; everything else runs serially.
 
-        Sharded execution is supervised: a worker shard that crashes or
+        Pooled execution is supervised: a span whose worker crashes or
         raises is retried with bounded backoff (per the engine's
         :class:`~repro.engine.faults.SupervisorPolicy`) and, once
         retries are exhausted, re-run serially in the parent, so the
         query always returns the bit-identical answer.  Across queries,
-        each tier's circuit breaker remembers those failures: a tripped
-        pool breaker routes the next queries to fork-per-query sharding
-        (and a tripped fork breaker to serial) until the tier's
-        recovery window admits a probe.  What happened is recorded in
-        the result's :class:`~repro.core.result.Instrumentation`
+        the pool tier's circuit breaker remembers those failures: a
+        tripped pool breaker routes the next queries to serial until
+        its recovery window admits a probe.  What happened is recorded
+        in the result's :class:`~repro.core.result.Instrumentation`
         (``worker_failures``/``retries``/``degraded``), the engine's
         :class:`EngineStats`, and the JSONL metrics.
 
-        ``deadline_seconds`` bounds the query's wall time: workers are
-        hard-killed (and joined — no orphans) when the budget expires,
-        serial sections check the budget at phase boundaries, and
-        :class:`~repro.engine.faults.DeadlineExceeded` is raised.  A
+        ``deadline_seconds`` bounds the query's wall time: busy workers
+        are hard-killed (and joined — no orphans) when the budget
+        expires, serial sections check the budget at phase boundaries,
+        and :class:`~repro.engine.faults.DeadlineExceeded` is raised.  A
         deadline overrun wins over retry/degradation: the engine never
         trades the latency bound for an answer.
 
@@ -871,10 +860,9 @@ class QueryEngine:
         query first claims an admission slot; when the budget is full
         it is shed — a JSONL record is written and
         :class:`~repro.engine.admission.QueryShedError` raised, carrying
-        the typed :class:`~repro.engine.admission.QueryShed` outcome.
-        ``priority`` only matters to batch admission under the
-        ``by-priority`` policy (single queries are admitted FIFO) but
-        is recorded on the shed outcome either way.
+        the typed :class:`~repro.engine.admission.QueryShed` outcome
+        (reason ``queue-full`` under every policy).  ``priority`` is
+        recorded on the shed outcome.
 
         ``tenant`` tags the query's admission span (and shed outcome)
         with the multi-tenant front end's tenant name; the engine
@@ -883,44 +871,13 @@ class QueryEngine:
         :mod:`repro.engine.server` before the query reaches here.
         """
         self._check_open()
-        candidates = list(candidates)
-        trace = self.tracer.start("query", algorithm=algorithm)
-        admission_span = trace.child("admission")
-        if tenant is not None:
-            admission_span.set(tenant=tenant)
-        phantom = self._apply_parent_faults(self.stats.queries)
-        if self.admission is None:
-            admission_span.finish(admitted=True)
-            return self._query_one(
-                candidates, pf, tau, algorithm, workers,
-                deadline_seconds, algorithm_kwargs, trace=trace,
-            )
-        if not self.admission.try_acquire(phantom=phantom):
-            if self.approx and algorithm in self.APPROX_ALGORITHMS:
-                # the approximate tier is the shed alternative: answer
-                # from the sketch (without an admission slot — the
-                # whole point is that the estimate is too cheap to
-                # need one) instead of refusing the query
-                admission_span.finish(admitted=False, approx=True)
-                return self._query_one(
-                    candidates, pf, tau, algorithm, workers,
-                    deadline_seconds, algorithm_kwargs, trace=trace,
-                    approx_reason="overload",
-                )
-            admission_span.finish(admitted=False)
-            shed = self._shed(
-                "queue-full", priority=priority, algorithm=algorithm,
-                tau=tau, m=len(candidates), tenant=tenant,
-            )
-            raise QueryShedError(shed)
-        admission_span.finish(admitted=True)
-        try:
-            return self._query_one(
-                candidates, pf, tau, algorithm, workers,
-                deadline_seconds, algorithm_kwargs, trace=trace,
-            )
-        finally:
-            self.admission.release()
+        request = QueryRequest(
+            list(candidates), pf, tau, algorithm, algorithm_kwargs, priority
+        )
+        (out,) = self._serve([request], deadline_seconds, tenant=tenant)
+        if isinstance(out, QueryShed):
+            raise QueryShedError(out)
+        return out
 
     def query_approx(
         self,
@@ -956,123 +913,225 @@ class QueryEngine:
                 f"the approximate tier cannot answer {algorithm!r}; "
                 f"expected one of {', '.join(self.APPROX_ALGORITHMS)}"
             )
-        trace = self.tracer.start("query", algorithm=algorithm)
-        admission_span = trace.child("admission")
-        if tenant is not None:
-            admission_span.set(tenant=tenant)
-        admission_span.finish(admitted=False, approx=True)
-        return self._query_one(
-            list(candidates), pf, tau, algorithm, None, None, {},
-            trace=trace, approx_reason=reason,
+        request = QueryRequest(list(candidates), pf, tau, algorithm)
+        (out,) = self._serve(
+            [request], tenant=tenant, approx_reason=reason
         )
+        return out
 
-    def _query_one(
+    def query_batch(
         self,
-        candidates: list[Candidate],
-        pf: ProbabilityFunction | None,
-        tau: float,
-        algorithm: str,
-        workers: int | None,
-        deadline_seconds: float | None,
-        algorithm_kwargs: dict,
-        trace=NOOP_SPAN,
-        approx_reason: str | None = None,
-    ) -> LSResult:
-        """One admitted query: validate, execute on a tier, account.
+        requests: "Sequence[QueryRequest | Sequence[Candidate]]",
+        *,
+        pf: ProbabilityFunction | None = None,
+        tau: float = 0.7,
+        algorithm: str = "PIN-VO",
+        deadline_seconds: float | None = None,
+        priority: int = 0,
+        **algorithm_kwargs,
+    ) -> "list[LSResult | QueryShed]":
+        """Answer several queries in one coalesced admission round.
 
-        ``approx_reason`` forces the approximate tier (the admission
-        paths pass ``"overload"``); ``None`` lets the degradation
-        ladder pick, which selects "approx" only when every exact
-        tier's breaker is open on an approx-enabled engine.
+        ``requests`` holds :class:`QueryRequest` objects or plain
+        candidate sequences (wrapped with the call-level ``pf``/
+        ``tau``/``algorithm``/``priority`` defaults).  Results come
+        back in request order and are bit-identical to issuing the same
+        ``query`` calls sequentially — including cache effects:
+        requests are planned in order, so a later request repeating an
+        earlier one's PIN-VO pruning key counts as a pruning hit and
+        reuses its output.  Every request is validated before any is
+        admitted: a malformed one raises :class:`ValueError` without
+        consuming a query id, a cache counter, or a record.
+
+        On an engine with admission control the round is bounded: at
+        most ``max_inflight + max_queue_depth`` requests are admitted
+        and the rest are shed per the engine's ``shed_policy``
+        (``reject`` keeps the oldest, ``oldest`` keeps the freshest,
+        ``by-priority`` keeps the highest :attr:`QueryRequest.priority`;
+        with no free slot at all every request is shed as
+        ``queue-full``).  A shed request's slot in the returned list
+        holds its typed :class:`~repro.engine.admission.QueryShed`
+        outcome instead of an :class:`~repro.core.result.LSResult`, and
+        a JSONL record is written for it — nothing is dropped silently.
+
+        On a pool engine every span of every admitted request is
+        dispatched to the persistent pool in a *single* round, so
+        workers stream spans back-to-back instead of idling between
+        queries; the sequential PIN-VO validations then run in the
+        parent in request order.  A tripped pool breaker runs the round
+        serially instead.
+
+        ``deadline_seconds`` bounds the *whole batch*: on overrun every
+        busy pool worker is killed, respawned and joined, a failure
+        record is written for each request that produced no result, and
+        :class:`~repro.engine.faults.DeadlineExceeded` is raised.
         """
-        started = time.perf_counter()
-        if pf is None:
-            if self._default_pf is None:
-                self._default_pf = PowerLawPF()
-            pf = self._default_pf
-        if not 0.0 < tau < 1.0:
-            raise ValueError(f"tau must be in (0, 1), got {tau}")
+        self._check_open()
+        reqs: list[QueryRequest] = []
+        for entry in requests:
+            if isinstance(entry, QueryRequest):
+                reqs.append(entry)
+            else:
+                reqs.append(QueryRequest(
+                    list(entry), pf, tau, algorithm,
+                    dict(algorithm_kwargs), priority,
+                ))
+        if not reqs:
+            raise ValueError("need at least one request in the batch")
+        return self._serve(reqs, deadline_seconds, batch=True)
+
+    def _serve(
+        self,
+        reqs: list[QueryRequest],
+        deadline_seconds: float | None = None,
+        *,
+        tenant: str | None = None,
+        approx_reason: str | None = None,
+        batch: bool = False,
+    ) -> "list[LSResult | QueryShed]":
+        """The one request path behind every public query method.
+
+        Validate every request → apply the parent faults → admit the
+        round → shed or approx-answer the overflow → pick the tier once
+        → plan each request through the caches → dispatch every span in
+        one pool round → assemble and record in request order.  A
+        non-``None`` ``approx_reason`` answers every request from the
+        sketch tier without an admission slot (:meth:`query_approx`);
+        ``batch`` logs the round in :attr:`EngineStats.batch_sizes`.
+        """
+        from repro import make_algorithm
+
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ValueError(
                 f"deadline_seconds must be > 0, got {deadline_seconds}"
             )
-        if not candidates:
-            raise ValueError("need at least one candidate location")
-        workers = self.workers if workers is None else int(workers)
-
-        supervisor = Supervisor(
-            self.supervisor_policy,
-            injector=self.fault_injector,
-            query_id=self.stats.queries,
-            deadline_seconds=deadline_seconds,
-        )
-        trace.set(query=self.stats.queries, tau=float(tau))
-        evictions_before = self._total_evictions()
-        try:
-            result, workers_used, tier, approx_reason = self._execute(
-                candidates, pf, tau, algorithm, workers, supervisor,
-                algorithm_kwargs, trace=trace,
-                approx_reason=approx_reason,
+        solvers = []
+        for req in reqs:
+            if not 0.0 < req.tau < 1.0:
+                raise ValueError(f"tau must be in (0, 1), got {req.tau}")
+            if not req.candidates:
+                raise ValueError("need at least one candidate location")
+            solvers.append(
+                make_algorithm(req.algorithm, **req.algorithm_kwargs)
             )
+        if batch:
+            self.stats.batch_sizes.append(len(reqs))
+        started = time.perf_counter()
+        size = len(reqs)
+
+        phantom = self._apply_parent_faults(self.stats.queries)
+        if approx_reason is not None:
+            admitted, overflow = [], [(i, None) for i in range(size)]
+        elif self.admission is None:
+            admitted, overflow = list(range(size)), []
+        else:
+            admitted, overflow = self.admission.admit_batch(
+                [req.priority for req in reqs], phantom=phantom
+            )
+        out: "list[LSResult | QueryShed | None]" = [None] * size
+        try:
+            # The overflow goes first so refused requests consume the
+            # lower query ids — the JSONL stream stays ordered by round.
+            for i, shed_reason in overflow:
+                req = reqs[i]
+                reason = approx_reason
+                if (
+                    reason is None and self.approx
+                    and req.algorithm in self.APPROX_ALGORITHMS
+                ):
+                    # approx-enabled engines answer over-budget requests
+                    # from the sketch instead of refusing them
+                    reason = "overload"
+                if reason is None:
+                    out[i] = self._shed(shed_reason, req, size, tenant)
+                    continue
+                plan = self._plan(
+                    req, solvers[i], "approx", self.stats.queries, size,
+                    tenant, set(), admitted=False, approx_reason=reason,
+                )
+                out[i] = self._record(
+                    plan, self._assemble(plan, {}, None), started
+                )
+            if admitted:
+                results = self._run_round(
+                    [reqs[i] for i in admitted],
+                    [solvers[i] for i in admitted],
+                    deadline_seconds, started, size, tenant,
+                )
+                for i, result in zip(admitted, results):
+                    out[i] = result
+        finally:
+            if self.admission is not None and admitted:
+                self.admission.release(len(admitted))
+        return out
+
+    def _run_round(
+        self,
+        reqs: list[QueryRequest],
+        solvers: list,
+        deadline_seconds: float | None,
+        started: float,
+        size: int,
+        tenant: str | None,
+    ) -> list[LSResult]:
+        """Execute the admitted requests of one round on one tier."""
+        tier = self.ladder.select(self._tiers())
+        supervisor = Supervisor(
+            injector=self.fault_injector,
+            deadline_seconds=deadline_seconds,
+            breaker=self.ladder.breakers.get(tier),
+        )
+        planned: set[tuple] = set()
+        plans: list[_Plan] = []
+        tasks: list[SpanTask] = []
+        for req, solver in zip(reqs, solvers):
+            plan = self._plan(
+                req, solver, tier, self.stats.queries + len(plans), size,
+                tenant, planned, start_id=len(tasks),
+            )
+            plans.append(plan)
+            tasks.extend(plan.tasks)
+
+        results: list[LSResult] = []
+        try:
+            dispatched = [
+                (plan, plan.trace.child("dispatch", mode="pool"))
+                for plan in plans if plan.tasks
+            ]
+            outputs = self._pool.run_batch(tasks, supervisor) if tasks else {}
+            for plan, span in dispatched:
+                span.finish()
+                for task in plan.tasks:
+                    span.attach(outputs[task.task_id][2])
+            for plan in plans:
+                result = self._assemble(plan, outputs, supervisor)
+                results.append(self._record(plan, result, started))
         except DeadlineExceeded:
+            self._fold_report(supervisor.report)
             # A deadline overrun is a latency-budget decision, not a
             # tier fault — except on an approx-enabled engine, where
             # repeated overruns *are* the signal that walks the ladder
-            # onto the approximate floor (a tier that cannot answer in
-            # budget is down for serving purposes).
+            # onto the approximate floor.
             if self.approx:
-                # re-deriving the selection is deterministic: breaker
-                # states only moved through this same supervisor
-                tier = self.ladder.select(self._tier_candidates(workers))
-                if tier in self.ladder.breakers:
-                    self.ladder.record(tier, ok=False)
+                self.ladder.record(tier, ok=False)
                 self.stats.breaker_trips = self.ladder.trips
-            self._record_failure(
-                pf, tau, len(candidates), algorithm, supervisor, started,
-                trace=trace,
-            )
+            for plan in plans[len(results):]:
+                self._record_failure(plan, supervisor, started)
             raise
-        result.elapsed_seconds = time.perf_counter() - started
-
-        report = supervisor.report
-        # Shard failures already fed the tier's breaker one-by-one
-        # inside the supervisor; recording them again here would double
-        # count.  The query level only contributes the *success* signal
+        self._fold_report(supervisor.report)
+        # Span failures already fed the tier's breaker one by one inside
+        # the pool; the round only contributes the *success* signal
         # that resets the consecutive-failure streak / closes a probe.
+        report = supervisor.report
         if report.worker_failures == 0 and not report.degraded:
             self.ladder.record(tier, ok=True)
         self.stats.breaker_trips = self.ladder.trips
-        inst = result.instrumentation
-        inst.worker_failures += report.worker_failures
-        inst.retries += report.retries
-        inst.degraded += int(report.degraded)
-        inst.spans_dispatched += report.spans_dispatched
-        inst.pool_respawns += report.respawns
-        inst.cache_evictions += self._total_evictions() - evictions_before
-        self._fold_report(report)
-        self._sync_cache_stats()
-        self.stats.queries += 1
-        if tier == "approx":
-            self.stats.approx_queries += 1
-        self._record_metrics(
-            result, pf, tau, len(candidates), workers_used,
-            tier=tier, pooled=tier == "pool", trace=trace,
-            approx_reason=approx_reason,
-        )
-        return result
+        return results
 
-    def _tier_candidates(self, workers: int | None = None) -> tuple[str, ...]:
+    def _tiers(self) -> tuple[str, ...]:
         """The tiers the engine *could* execute on, fastest first."""
-        workers = self.workers if workers is None else int(workers)
-        tiers: list[str] = []
-        if workers > 1 and fork_available():
-            if self.use_pool:
-                tiers.append("pool")
-            tiers.append("fork")
-        tiers.append("serial")
-        if self.approx:
-            tiers.append("approx")
-        return tuple(tiers)
+        tiers = ("pool", "serial") if self.use_pool else ("serial",)
+        return tiers + ("approx",) if self.approx else tiers
 
     def _apply_parent_faults(self, query_id: int | None) -> int:
         """Consume parent-side faults; returns phantom admission load."""
@@ -1092,259 +1151,213 @@ class QueryEngine:
                 self.stats.breaker_trips = self.ladder.trips
         return phantom
 
-    def _shed(
+    def _plan(
         self,
-        reason: str,
+        req: QueryRequest,
+        solver,
+        tier: str,
+        query_id: int,
+        size: int,
+        tenant: str | None,
+        planned: set,
         *,
-        priority: int,
-        algorithm: str,
-        tau: float,
-        m: int,
-        batch_size: int = 1,
-        tenant: str | None = None,
-    ) -> QueryShed:
-        """Account one shed query: id, counters, report, JSONL record."""
-        query_id = self.stats.queries
-        self.stats.queries += 1
-        self.stats.queries_shed += 1
-        shed = QueryShed(
-            query_id=query_id,
-            reason=reason,
-            policy=self.admission.policy,
-            priority=priority,
-            algorithm=algorithm,
-            tau=float(tau),
-            candidates=m,
-            tenant=tenant,
-        )
-        self.admission.report.note_shed(shed)
-        # shed queries never executed, so they carry no span tree
-        self._append_record({
-            "schema": 2,
-            "trace_id": None,
-            "query": query_id,
-            "algorithm": algorithm,
-            "tau": float(tau),
-            "pf": None,
-            "candidates": m,
-            "elapsed_seconds": 0.0,
-            "shed": True,
-            "shed_reason": reason,
-            "shed_policy": self.admission.policy,
-            "priority": priority,
-            "tenant": tenant,
-            "batch_size": batch_size,
-            "best_candidate": None,
-            "best_influence": None,
-        })
-        self._m_queries.inc(algorithm=algorithm, tier="none", status="shed")
-        self._m_shed.inc(reason=reason)
-        return shed
-
-    def _fold_report(self, report) -> None:
-        """Accumulate one supervision report into the session stats."""
-        self.stats.worker_failures += report.worker_failures
-        self.stats.retries += report.retries
-        self.stats.degraded += int(report.degraded)
-        self.stats.spans_dispatched += report.spans_dispatched
-        self.stats.pool_respawns += report.respawns
-
-    def _execute(
-        self,
-        candidates: list[Candidate],
-        pf: ProbabilityFunction,
-        tau: float,
-        algorithm: str,
-        workers: int,
-        supervisor: Supervisor,
-        algorithm_kwargs: dict,
-        trace=NOOP_SPAN,
+        admitted: bool = True,
         approx_reason: str | None = None,
-    ) -> tuple[LSResult, int, str, str | None]:
-        """Resolve one query through the caches and (maybe) workers.
+        start_id: int = 0,
+    ) -> _Plan:
+        """Resolve one request through the caches and decide how it
+        executes on the round's ``tier`` — the only place that does.
 
-        Returns ``(result, workers_used, tier, approx_reason)``.  The
-        execution tier is chosen by the degradation ladder: the fastest
-        tier this query *could* use ("pool" needs ``pool=True`` and a
-        picklable PF, "fork" needs ``workers > 1`` and fork support)
-        whose circuit breaker currently admits queries.  The supervisor
-        is wired to that tier's breaker so in-query shard failures feed
-        it and retries stop the moment it trips.  On an approx-enabled
-        engine the ladder bottoms out at the sketch tier instead of
-        serial when every exact breaker is open; a non-``None``
-        ``approx_reason`` short-circuits straight to it.
+        The pool takes NA (vector kernel), PIN, and PIN-VO's pruning
+        phase, when the PF pickles; everything else runs serially.  On
+        the approx tier (every exact breaker open) approx-capable
+        algorithms are answered from the sketch.  PIN-VO's pruning
+        output is looked up here, so hit/miss counts follow request
+        order: a key repeated within the round (``planned``) is a hit.
         """
-        # Deferred to dodge the repro <-> repro.engine import cycle:
-        # the package re-exports QueryEngine from its __init__.
-        from repro import make_algorithm
-
+        evictions = self._total_evictions()
+        trace = self.tracer.start(
+            "query", algorithm=req.algorithm, batch_size=size
+        )
+        admission = trace.child("admission")
+        if tenant is not None:
+            admission.set(tenant=tenant)
+        if admitted:
+            admission.finish(admitted=True)
+        else:
+            admission.finish(admitted=False, approx=True)
         plan_span = trace.child("plan")
+        pf = req.pf
+        if pf is None:
+            if self._default_pf is None:
+                self._default_pf = PowerLawPF()
+            pf = self._default_pf
+        tau = float(req.tau)
+        trace.set(query=query_id, tau=tau)
+        candidates = list(req.candidates)
+        plan = _Plan(
+            request=req, solver=solver, pf=pf, tau=tau,
+            candidates=candidates, cand_xy=self._cand_xy_for(candidates),
+            query_id=query_id, batch_size=size, trace=trace,
+        )
+        if tier == "approx" and req.algorithm in self.APPROX_ALGORITHMS:
+            approx_reason = approx_reason or "breakers"
         if approx_reason is not None:
-            plan_span.finish(tier="approx")
-            trace.set(tier="approx")
-            cand_xy = self._cand_xy_for(candidates)
-            result = self._run_approx(
-                candidates, cand_xy, pf, tau, algorithm, trace=trace,
-            )
-            return result, 1, "approx", approx_reason
-        solver = make_algorithm(algorithm, **algorithm_kwargs)
-        solver.rtree_factory = self.rtree_for
-        cand_xy = self._cand_xy_for(candidates)
-
-        uses_table = isinstance(solver, (Pinocchio, PinocchioVO))
-        table = self.table_for(pf, tau) if uses_table else None
-        available: list[str] = []
-        if workers > 1 and fork_available():
-            if self.use_pool and self._poolable(pf):
-                available.append("pool")
-            available.append("fork")
-        available.append("serial")
-        if self.approx and algorithm in self.APPROX_ALGORITHMS:
-            available.append("approx")
-        tier = self.ladder.select(tuple(available))
-        supervisor.breaker = self.ladder.breakers.get(tier)
-        parallel = tier in ("pool", "fork")
-        pooled = tier == "pool"
-        plan_span.finish(tier=tier)
-        trace.set(tier=tier)
-
-        if tier == "approx":
-            result = self._run_approx(
-                candidates, cand_xy, pf, tau, algorithm, trace=trace,
-            )
-            return result, 1, "approx", "breakers"
-
-        if isinstance(solver, PinocchioVO):
-            result = self._query_vo(
-                solver, table, candidates, cand_xy, pf, tau,
-                workers if parallel else 1, supervisor,
-                pooled=pooled, algorithm=algorithm,
-                algorithm_kwargs=algorithm_kwargs, trace=trace,
-            )
-            return result, workers if parallel else 1, tier, None
-
-        kind = None
-        if parallel:
-            if isinstance(solver, Pinocchio):
+            plan.tier, plan.approx_reason = "approx", approx_reason
+        else:
+            solver.rtree_factory = self.rtree_for
+            if isinstance(solver, PinocchioVO):  # PIN-VO and PIN-VO*
+                kind = "vo_prune"
+            elif isinstance(solver, Pinocchio):
                 kind = "pin"
             elif (
                 isinstance(solver, NaiveAlgorithm)
                 and solver.kernel == "vector"
             ):
                 kind = "na"
-        if kind is not None and pooled:
-            result = self._run_pooled(
-                solver, kind, table, candidates, cand_xy, pf, tau,
-                workers, supervisor, algorithm, algorithm_kwargs,
-                trace=trace,
-            )
-            return result, workers, "pool", None
-        if kind is not None:
-            task = _pin_shard if kind == "pin" else _naive_shard
-            result = self._run_parallel(
-                solver, task, table, candidates, cand_xy, pf, tau,
-                workers, supervisor, trace=trace,
-            )
-            return result, workers, "fork", None
-        supervisor.check_deadline()
-        if table is not None:
-            solver.table_factory = lambda _objects, _pf, _tau: table
-        with trace.child("dispatch", mode="serial"):
-            result = solver.select(self.objects, candidates, pf, tau)
-        return result, 1, "serial", None
-
-    def _query_vo(
-        self,
-        solver: PinocchioVO,
-        table: ObjectTable,
-        candidates: list[Candidate],
-        cand_xy: np.ndarray,
-        pf: ProbabilityFunction,
-        tau: float,
-        workers: int,
-        supervisor: Supervisor,
-        pooled: bool = False,
-        algorithm: str = "PIN-VO",
-        algorithm_kwargs: dict | None = None,
-        trace=NOOP_SPAN,
-    ) -> LSResult:
-        """PIN-VO through the pruning cache, then sequential validation.
-
-        The pruning output is a pure function of the object table and
-        the candidate coordinates, so a hit replays the memoised
-        ``minInf``/``VS`` (and their logical work counters) and goes
-        straight to Strategy-1/2 validation.  On a miss the pruning
-        phase runs — sharded across workers when requested — and its
-        output is stored pristine (validation mutates ``minInf``, so
-        both store and hit hand out copies).  The deadline is checked
-        again between the phases: validation is sequential and cannot
-        be killed, so it only starts while budget remains.
-        """
-        m = cand_xy.shape[0]
-        counters = Instrumentation()
-        counters.dead_objects = table.dead_objects
-        counters.pairs_total = table.live_count * m
-        key = (
-            _pf_key(pf), float(tau), cand_xy.tobytes(), solver.use_pruning
-        )
-        prune_span = trace.child("prune")
-        cached = self._prunings.get(key)
-        if cached is None:
-            self.stats.pruning_misses += 1
-            prune_counters = Instrumentation()
-            if workers > 1 and pooled:
-                min_inf, vs_indexes = self._pooled_vo_pruning(
-                    table, cand_xy, pf, tau, workers, supervisor,
-                    algorithm, algorithm_kwargs or {}, prune_counters,
-                    prune_span=prune_span,
-                )
-            elif workers > 1:
-                ctx = ShardContext(
-                    solver=solver, objects=self.objects, table=table,
-                    cand_xy=cand_xy, pf=pf, tau=tau,
-                )
-                min_inf = np.zeros(m, dtype=int)
-                vs_indexes: list[np.ndarray] = [None] * m  # type: ignore[list-item]
-                for lo, hi, (mi, vs), shard_counters, record in run_sharded(
-                    _vo_pruning_shard, ctx, workers, supervisor
-                ):
-                    min_inf[lo:hi] = mi
-                    vs_indexes[lo:hi] = vs
-                    prune_counters.merge(shard_counters)
-                    prune_span.attach(record)
             else:
-                supervisor.check_deadline()
-                with prune_counters.phase("pruning"):
-                    min_inf, vs_indexes = solver.pruning_phase(
-                        table, cand_xy, prune_counters
+                kind = None
+            if kind in ("vo_prune", "pin"):
+                plan.table = self.table_for(pf, tau)
+            if tier == "pool" and kind is not None and self._poolable(pf):
+                plan.tier = "pool"
+            if kind == "vo_prune":
+                key = (_pf_key(pf), tau, plan.cand_xy.tobytes(),
+                       solver.use_pruning)
+                plan.pruning_key = key
+                if key in self._prunings or key in planned:
+                    self.stats.pruning_hits += 1
+                    plan.pruning = "cached"
+                else:
+                    self.stats.pruning_misses += 1
+                    planned.add(key)
+                    plan.pruning = (
+                        "dispatch" if plan.tier == "pool" else "compute"
                     )
-            self._prunings[key] = (
-                min_inf.copy(), vs_indexes, _counts_only(prune_counters)
-            )
-            counters.merge(prune_counters)
-            prune_span.finish(cached=False)
-        else:
-            self.stats.pruning_hits += 1
-            base_min_inf, vs_indexes, snapshot = cached
-            min_inf = base_min_inf.copy()
-            counters.merge(snapshot)
-            prune_span.finish(cached=True)
-        supervisor.check_deadline()
-        with trace.child("validate"):
-            return solver.validation_phase(
-                table, candidates, cand_xy, pf, tau, counters, min_inf,
-                vs_indexes,
-            )
+            if plan.tier == "pool" and plan.pruning in (None, "dispatch"):
+                plan.tasks = self._span_tasks(plan, kind, start_id)
+        plan_span.finish(tier=plan.tier)
+        trace.set(tier=plan.tier)
+        plan.evictions = self._total_evictions() - evictions
+        return plan
 
-    def _run_approx(
-        self,
-        candidates: list[Candidate],
-        cand_xy: np.ndarray,
-        pf: ProbabilityFunction,
-        tau: float,
-        algorithm: str,
-        trace=NOOP_SPAN,
+    def _assemble(
+        self, plan: _Plan, outputs: dict, supervisor: Supervisor | None
     ) -> LSResult:
+        """One request's result: the sketch estimate, its merged pool
+        spans, or its serial phases — plus its supervision counters."""
+        evictions = self._total_evictions()
+        trace, solver, table = plan.trace, plan.solver, plan.table
+        m = plan.cand_xy.shape[0]
+        if plan.tier == "approx":
+            result = self._run_approx(plan)
+        elif plan.pruning is None and not plan.tasks:
+            supervisor.check_deadline()
+            if table is not None:
+                solver.table_factory = lambda _objects, _pf, _tau: table
+            with trace.child("dispatch", mode="serial"):
+                result = solver.select(
+                    self.objects, plan.candidates, plan.pf, plan.tau
+                )
+        else:
+            counters = Instrumentation()
+            if table is not None:
+                counters.dead_objects = table.dead_objects
+                counters.pairs_total = table.live_count * m
+            else:
+                counters.pairs_total = len(self.objects) * m
+            if plan.pruning is None:
+                influence = np.zeros(m, dtype=int)
+                with trace.child("merge"):
+                    for task in plan.tasks:
+                        payload, span_counters, _ = outputs[task.task_id]
+                        influence[task.lo:task.hi] = payload
+                        counters.merge(span_counters)
+                result = full_table_result(
+                    solver.name, plan.candidates, influence, counters
+                )
+            else:
+                min_inf, vs_indexes = self._pruning_output(
+                    plan, outputs, counters, supervisor
+                )
+                supervisor.check_deadline()
+                with trace.child("validate"):
+                    result = solver.validation_phase(
+                        table, plan.candidates, plan.cand_xy, plan.pf,
+                        plan.tau, counters, min_inf, vs_indexes,
+                    )
+        inst = result.instrumentation
+        inst.cache_evictions += (
+            plan.evictions + self._total_evictions() - evictions
+        )
+        if plan.tier == "pool":
+            inst.worker_failures += sum(t.failures for t in plan.tasks)
+            inst.retries += sum(t.retries for t in plan.tasks)
+            inst.degraded += int(any(t.degraded for t in plan.tasks))
+            inst.spans_dispatched += sum(1 + t.retries for t in plan.tasks)
+            # a respawned worker serves the whole round, so every pooled
+            # request reports the round's respawn count
+            inst.pool_respawns += supervisor.report.respawns
+        return result
+
+    def _pruning_output(
+        self,
+        plan: _Plan,
+        outputs: dict,
+        counters: Instrumentation,
+        supervisor: Supervisor,
+    ) -> tuple[np.ndarray, list]:
+        """PIN-VO's pruning output (``minInf``, verification sets) for
+        one request: merged from its pool spans, replayed from the
+        pruning cache, or computed in the parent.
+
+        The output is a pure function of the object table and the
+        candidate coordinates, so it is memoised pristine (validation
+        mutates ``minInf``, so both store and hit hand out copies) and
+        a hit replays its logical work counters.
+        """
+        m = plan.cand_xy.shape[0]
+        if plan.pruning == "dispatch":
+            prune_counters = Instrumentation()
+            min_inf = np.zeros(m, dtype=int)
+            vs_indexes: list = [None] * m
+            with plan.trace.child("merge"):
+                for task in plan.tasks:
+                    (mi, vs), span_counters, _ = outputs[task.task_id]
+                    min_inf[task.lo:task.hi] = mi
+                    vs_indexes[task.lo:task.hi] = vs
+                    prune_counters.merge(span_counters)
+                self._prunings[plan.pruning_key] = (
+                    min_inf.copy(), vs_indexes, _counts_only(prune_counters)
+                )
+            counters.merge(prune_counters)
+            return min_inf, vs_indexes
+        with plan.trace.child("prune") as prune_span:
+            cached = (
+                self._prunings.get(plan.pruning_key)
+                if plan.pruning == "cached" else None
+            )
+            if cached is None:
+                # a miss — or a tiny pruning budget evicted the entry
+                # since planning; correctness never depends on residency
+                supervisor.check_deadline()
+                prune_counters = Instrumentation()
+                with prune_counters.phase("pruning"):
+                    min_inf, vs_indexes = plan.solver.pruning_phase(
+                        plan.table, plan.cand_xy, prune_counters
+                    )
+                self._prunings[plan.pruning_key] = (
+                    min_inf.copy(), vs_indexes, _counts_only(prune_counters)
+                )
+                counters.merge(prune_counters)
+            else:
+                base_min_inf, vs_indexes, snapshot = cached
+                min_inf = base_min_inf.copy()
+                counters.merge(snapshot)
+            prune_span.set(cached=cached is not None)
+        return min_inf, vs_indexes
+
+    def _run_approx(self, plan: _Plan) -> LSResult:
         """Answer one query from the influence sketch (the approx tier).
 
         O(k) work per candidate instead of O(total positions): the
@@ -1354,11 +1367,11 @@ class QueryEngine:
         sketch's advertised error bound for this query's candidate
         count; its influence table holds the rounded estimates.
         """
-        m = cand_xy.shape[0]
+        m = plan.cand_xy.shape[0]
         builds_before = self.stats.sketch_misses
         sketch_started = time.perf_counter()
-        with trace.child("sketch") as sketch_span:
-            sketch = self.sketch_for(pf, tau)
+        with plan.trace.child("sketch") as sketch_span:
+            sketch = self.sketch_for(plan.pf, plan.tau)
             sketch_span.set(
                 k=sketch.k,
                 population=sketch.population,
@@ -1370,8 +1383,8 @@ class QueryEngine:
         counters.pairs_total = sketch.population * m
         bound = sketch.error_bound(m)
         estimate_started = time.perf_counter()
-        with trace.child("estimate") as estimate_span:
-            estimates = sketch.estimate_many(cand_xy, counters)
+        with plan.trace.child("estimate") as estimate_span:
+            estimates = sketch.estimate_many(plan.cand_xy, counters)
             estimate_span.set(bound=bound, sample_size=sketch.k)
         estimate_seconds = time.perf_counter() - estimate_started
         if sketch_seconds:
@@ -1379,599 +1392,96 @@ class QueryEngine:
         if estimate_seconds:
             self._m_phase.inc(estimate_seconds, phase="estimate")
         influence = np.rint(estimates).astype(np.int64)
-        result = full_table_result(algorithm, candidates, influence, counters)
+        result = full_table_result(
+            plan.request.algorithm, plan.candidates, influence, counters
+        )
         result.quality = "exact" if sketch.exact else "approx"
         result.error_bound = float(bound)
         return result
 
-    def _run_parallel(
-        self,
-        solver,
-        task,
-        table: ObjectTable | None,
-        candidates: list[Candidate],
-        cand_xy: np.ndarray,
-        pf: ProbabilityFunction,
-        tau: float,
-        workers: int,
-        supervisor: Supervisor,
-        trace=NOOP_SPAN,
-    ) -> LSResult:
-        """Sharded full-table execution (NA/PIN); merges spans + counters."""
-        m = cand_xy.shape[0]
-        counters = Instrumentation()
-        if table is not None:
-            counters.dead_objects = table.dead_objects
-            counters.pairs_total = table.live_count * m
-        else:
-            counters.pairs_total = len(self.objects) * m
-        ctx = ShardContext(
-            solver=solver,
-            objects=self.objects,
-            table=table,
-            cand_xy=cand_xy,
-            pf=pf,
-            tau=tau,
-        )
-        with trace.child("dispatch", mode="fork") as dispatch_span:
-            shards = run_sharded(task, ctx, workers, supervisor)
-        influence = np.zeros(m, dtype=int)
-        with trace.child("merge"):
-            for lo, hi, shard_influence, shard_counters, record in shards:
-                influence[lo:hi] = shard_influence
-                counters.merge(shard_counters)
-                dispatch_span.attach(record)
-        return full_table_result(solver.name, candidates, influence, counters)
-
-    def _run_pooled(
-        self,
-        solver,
-        kind: str,
-        table: ObjectTable | None,
-        candidates: list[Candidate],
-        cand_xy: np.ndarray,
-        pf: ProbabilityFunction,
-        tau: float,
-        workers: int,
-        supervisor: Supervisor,
-        algorithm: str,
-        algorithm_kwargs: dict,
-        trace=NOOP_SPAN,
-    ) -> LSResult:
-        """Full-table execution (NA/PIN) through the persistent pool."""
-        m = cand_xy.shape[0]
-        counters = Instrumentation()
-        if table is not None:
-            counters.dead_objects = table.dead_objects
-            counters.pairs_total = table.live_count * m
-        else:
-            counters.pairs_total = len(self.objects) * m
-        pool = self._pool_for(workers)
-        key = self._ensure_pool_segment(pool, kind, pf, tau, table)
-        local = table if table is not None else self.objects
-        tasks = self._span_tasks(
-            kind, key, algorithm, algorithm_kwargs, pf, tau, cand_xy,
-            workers, 0, supervisor.query_id, local,
-        )
-        with trace.child("dispatch", mode="pool") as dispatch_span:
-            outputs = pool.run_batch(tasks, supervisor)
-        influence = np.zeros(m, dtype=int)
-        with trace.child("merge"):
-            for task in tasks:
-                payload, span_counters, record = outputs[task.task_id]
-                influence[task.lo:task.hi] = payload
-                counters.merge(span_counters)
-                dispatch_span.attach(record)
-        return full_table_result(solver.name, candidates, influence, counters)
-
-    def _pooled_vo_pruning(
-        self,
-        table: ObjectTable,
-        cand_xy: np.ndarray,
-        pf: ProbabilityFunction,
-        tau: float,
-        workers: int,
-        supervisor: Supervisor,
-        algorithm: str,
-        algorithm_kwargs: dict,
-        prune_counters: Instrumentation,
-        prune_span=NOOP_SPAN,
-    ) -> tuple[np.ndarray, list]:
-        """PIN-VO's pruning phase through the persistent pool."""
-        m = cand_xy.shape[0]
-        pool = self._pool_for(workers)
-        key = self._ensure_pool_segment(pool, "vo_prune", pf, tau, table)
-        tasks = self._span_tasks(
-            "vo_prune", key, algorithm, algorithm_kwargs, pf, tau,
-            cand_xy, workers, 0, supervisor.query_id, table,
-        )
-        outputs = pool.run_batch(tasks, supervisor)
-        min_inf = np.zeros(m, dtype=int)
-        vs_indexes: list[np.ndarray] = [None] * m  # type: ignore[list-item]
-        for task in tasks:
-            (mi, vs), span_counters, record = outputs[task.task_id]
-            min_inf[task.lo:task.hi] = mi
-            vs_indexes[task.lo:task.hi] = vs
-            prune_counters.merge(span_counters)
-            prune_span.attach(record)
-        return min_inf, vs_indexes
-
     # ------------------------------------------------------------------
-    # Batched admission
+    # Accounting
     # ------------------------------------------------------------------
-    def query_batch(
+    def _shed(
         self,
-        requests: "Sequence[QueryRequest | Sequence[Candidate]]",
-        *,
-        pf: ProbabilityFunction | None = None,
-        tau: float = 0.7,
-        algorithm: str = "PIN-VO",
-        workers: int | None = None,
-        deadline_seconds: float | None = None,
-        priority: int = 0,
-        **algorithm_kwargs,
-    ) -> "list[LSResult | QueryShed]":
-        """Answer several queries in one coalesced admission round.
-
-        ``requests`` holds :class:`QueryRequest` objects or plain
-        candidate sequences (wrapped with the call-level ``pf``/
-        ``tau``/``algorithm``/``priority`` defaults).  Results come
-        back in request order and are bit-identical to issuing the same
-        ``query`` calls sequentially — including cache effects:
-        requests are planned in order, so a later request repeating an
-        earlier one's PIN-VO pruning key counts as a pruning hit and
-        reuses its output.
-
-        On an engine with admission control the round is bounded: at
-        most ``max_inflight + max_queue_depth`` requests are admitted
-        and the rest are shed per the engine's ``shed_policy``
-        (``reject`` keeps the oldest, ``oldest`` keeps the freshest,
-        ``by-priority`` keeps the highest :attr:`QueryRequest.priority`).
-        A shed request's slot in the returned list holds its typed
-        :class:`~repro.engine.admission.QueryShed` outcome instead of
-        an :class:`~repro.core.result.LSResult`, and a JSONL record is
-        written for it — nothing is dropped silently.
-
-        On a pool-enabled engine (``pool=True``) with ``workers > 1``
-        every shardable span of every admitted request is dispatched to
-        the persistent pool in a *single* round, so workers stream
-        spans back-to-back instead of idling between queries; the
-        sequential PIN-VO validations then run in the parent in request
-        order.  A tripped pool breaker routes the round to the
-        sequential tier-selected path instead.  Otherwise the batch
-        degenerates to a sequential loop of per-query execution
-        (batching only buys throughput when there is a pool to keep
-        busy).
-
-        ``deadline_seconds`` bounds the *whole batch*: on overrun every
-        busy pool worker is killed, respawned and joined, a failure
-        record is written for each request that produced no result, and
-        :class:`~repro.engine.faults.DeadlineExceeded` is raised.
-        """
-        self._check_open()
-        reqs: list[QueryRequest] = []
-        for entry in requests:
-            if isinstance(entry, QueryRequest):
-                reqs.append(entry)
-            else:
-                reqs.append(QueryRequest(
-                    list(entry), pf, tau, algorithm,
-                    dict(algorithm_kwargs), priority,
-                ))
-        if not reqs:
-            raise ValueError("need at least one request in the batch")
-        workers = self.workers if workers is None else int(workers)
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError(
-                f"deadline_seconds must be > 0, got {deadline_seconds}"
-            )
-        self.stats.batch_sizes.append(len(reqs))
-
-        phantom = self._apply_parent_faults(None)
-        if self.admission is not None:
-            admitted_idx, shed_pairs = self.admission.admit_batch(
-                [r.priority for r in reqs], phantom=phantom
-            )
-        else:
-            admitted_idx, shed_pairs = list(range(len(reqs))), []
-
-        slots: "list[LSResult | QueryShed | None]" = [None] * len(reqs)
-        try:
-            # Shed first so refused requests consume the lower query
-            # ids — the JSONL stream stays ordered by admission round.
-            for index, reason in shed_pairs:
-                r = reqs[index]
-                if self.approx and r.algorithm in self.APPROX_ALGORITHMS:
-                    # approx-enabled engines answer over-budget batch
-                    # members from the sketch instead of refusing them
-                    trace = self.tracer.start(
-                        "query", algorithm=r.algorithm,
-                        batch_size=len(reqs),
-                    )
-                    trace.child("admission").finish(
-                        admitted=False, approx=True
-                    )
-                    slots[index] = self._query_one(
-                        list(r.candidates), r.pf, r.tau, r.algorithm,
-                        workers, deadline_seconds, r.algorithm_kwargs,
-                        trace=trace, approx_reason="overload",
-                    )
-                    continue
-                slots[index] = self._shed(
-                    reason, priority=r.priority, algorithm=r.algorithm,
-                    tau=r.tau, m=len(r.candidates),
-                    batch_size=len(reqs),
-                )
-            admitted = [reqs[i] for i in admitted_idx]
-            if admitted:
-                pool_breaker = self.ladder.breakers["pool"]
-                pooled = (
-                    self.use_pool and workers > 1 and fork_available()
-                    and pool_breaker.allow()
-                )
-                if pooled:
-                    results = self._query_batch_pooled(
-                        admitted, workers, deadline_seconds
-                    )
-                else:
-                    results = []
-                    for r in admitted:
-                        trace = self.tracer.start(
-                            "query", algorithm=r.algorithm,
-                            batch_size=len(reqs),
-                        )
-                        trace.child("admission").finish(admitted=True)
-                        results.append(self._query_one(
-                            list(r.candidates), r.pf, r.tau,
-                            r.algorithm, workers, deadline_seconds,
-                            r.algorithm_kwargs, trace=trace,
-                        ))
-                for i, res in zip(admitted_idx, results):
-                    slots[i] = res
-        finally:
-            if self.admission is not None:
-                self.admission.release(len(admitted_idx))
-        return slots
-
-    def _query_batch_pooled(
-        self,
-        reqs: list[QueryRequest],
-        workers: int,
-        deadline_seconds: float | None,
-    ) -> list[LSResult]:
-        """Plan → one pool dispatch round → assemble, in request order."""
-        from repro import make_algorithm
-
-        started = time.perf_counter()
-        base_id = self.stats.queries
-        supervisor = Supervisor(
-            self.supervisor_policy,
-            injector=self.fault_injector,
-            query_id=base_id,
-            deadline_seconds=deadline_seconds,
-            breaker=self.ladder.breakers["pool"],
-        )
-        pool = self._pool_for(workers)
-        evictions_mark = self._total_evictions()
-
-        # Plan every request in order, resolving caches exactly as the
-        # sequential path would, and collect all dispatchable spans.
-        plans: list[_BatchPlan] = []
-        all_tasks: list[SpanTask] = []
-        planned_keys: set[tuple] = set()
-        for q, req in enumerate(reqs):
-            trace = self.tracer.start(
-                "query", algorithm=req.algorithm, query=base_id + q,
-                batch_size=len(reqs),
-            )
-            trace.child("admission").finish(admitted=True)
-            plan_span = trace.child("plan")
-            rpf = req.pf
-            if rpf is None:
-                if self._default_pf is None:
-                    self._default_pf = PowerLawPF()
-                rpf = self._default_pf
-            rtau = float(req.tau)
-            if not 0.0 < rtau < 1.0:
-                raise ValueError(f"tau must be in (0, 1), got {req.tau}")
-            trace.set(tau=rtau)
-            cands = list(req.candidates)
-            if not cands:
-                raise ValueError("need at least one candidate location")
-            solver = make_algorithm(req.algorithm, **req.algorithm_kwargs)
-            solver.rtree_factory = self.rtree_for
-            cand_xy = self._cand_xy_for(cands)
-            uses_table = isinstance(solver, (Pinocchio, PinocchioVO))
-            table = self.table_for(rpf, rtau) if uses_table else None
-            plan = _BatchPlan(
-                request=req, solver=solver, pf=rpf, tau=rtau,
-                candidates=cands, cand_xy=cand_xy,
-                query_id=base_id + q, table=table, trace=trace,
-            )
-            shardable = self._poolable(rpf)
-            if isinstance(solver, PinocchioVO) and shardable:
-                plan.mode = "vo"
-                key = (
-                    _pf_key(rpf), rtau, cand_xy.tobytes(),
-                    solver.use_pruning,
-                )
-                plan.pruning_key = key
-                if key in self._prunings or key in planned_keys:
-                    self.stats.pruning_hits += 1
-                    plan.pruning = "cached"
-                else:
-                    self.stats.pruning_misses += 1
-                    plan.pruning = "dispatch"
-                    planned_keys.add(key)
-                    seg = self._ensure_pool_segment(
-                        pool, "vo_prune", rpf, rtau, table
-                    )
-                    plan.tasks = self._span_tasks(
-                        "vo_prune", seg, req.algorithm,
-                        req.algorithm_kwargs, rpf, rtau, cand_xy,
-                        workers, q, plan.query_id, table,
-                        start_id=len(all_tasks),
-                    )
-                    all_tasks.extend(plan.tasks)
-            elif shardable and isinstance(solver, Pinocchio):
-                plan.mode = "table"
-                seg = self._ensure_pool_segment(
-                    pool, "pin", rpf, rtau, table
-                )
-                plan.tasks = self._span_tasks(
-                    "pin", seg, req.algorithm, req.algorithm_kwargs,
-                    rpf, rtau, cand_xy, workers, q, plan.query_id,
-                    table, start_id=len(all_tasks),
-                )
-                all_tasks.extend(plan.tasks)
-            elif (
-                shardable
-                and isinstance(solver, NaiveAlgorithm)
-                and solver.kernel == "vector"
-            ):
-                plan.mode = "table"
-                seg = self._ensure_pool_segment(
-                    pool, "na", rpf, rtau, None
-                )
-                plan.tasks = self._span_tasks(
-                    "na", seg, req.algorithm, req.algorithm_kwargs,
-                    rpf, rtau, cand_xy, workers, q, plan.query_id,
-                    self.objects, start_id=len(all_tasks),
-                )
-                all_tasks.extend(plan.tasks)
-            tier = "pool" if plan.tasks else "serial"
-            plan_span.finish(tier=tier)
-            trace.set(tier=tier)
-            plans.append(plan)
-
-        # One dispatch round for every span of every request.  Every
-        # plan with dispatched tasks gets a "dispatch" child covering
-        # the shared round (workers interleave spans of all requests).
-        for plan in plans:
-            if plan.tasks:
-                plan.dispatch_span = plan.trace.child(
-                    "dispatch", mode="pool", shared_round=True
-                )
-        try:
-            outputs = (
-                pool.run_batch(all_tasks, supervisor) if all_tasks else {}
-            )
-        except DeadlineExceeded:
-            self._fold_report(supervisor.report)
-            self._batch_failures(plans, supervisor, started, len(reqs))
-            raise
-        for plan in plans:
-            if plan.tasks:
-                plan.dispatch_span.finish()
-                for task in plan.tasks:
-                    out = outputs.get(task.task_id)
-                    if out is not None:
-                        plan.dispatch_span.attach(out[2])
-        self._fold_report(supervisor.report)
-        if all_tasks:
-            report = supervisor.report
-            # failures already fed the pool breaker per task; only the
-            # clean-round success signal is recorded here
-            if report.worker_failures == 0 and not report.degraded:
-                self.ladder.record("pool", ok=True)
-            self.stats.breaker_trips = self.ladder.trips
-
-        # Assemble results in request order (sequential VO validations).
-        out: list[LSResult] = []
-        for i, plan in enumerate(plans):
-            try:
-                supervisor.check_deadline()
-                result = self._assemble_plan(plan, outputs, supervisor)
-            except DeadlineExceeded:
-                self._batch_failures(
-                    plans[i:], supervisor, started, len(reqs)
-                )
-                raise
-            result.elapsed_seconds = time.perf_counter() - started
-            inst = result.instrumentation
-            inst.worker_failures += sum(t.failures for t in plan.tasks)
-            inst.retries += sum(t.retries for t in plan.tasks)
-            inst.degraded += int(any(t.degraded for t in plan.tasks))
-            inst.spans_dispatched += sum(
-                1 + t.retries for t in plan.tasks
-            )
-            # a respawned worker serves the whole round, so every batch
-            # member reports the round's respawn count
-            inst.pool_respawns += supervisor.report.respawns
-            evictions_now = self._total_evictions()
-            inst.cache_evictions += evictions_now - evictions_mark
-            evictions_mark = evictions_now
-            self._sync_cache_stats()
-            self.stats.queries += 1
-            self._record_metrics(
-                result, plan.pf, plan.tau, len(plan.candidates),
-                workers, tier="pool" if plan.tasks else "serial",
-                pooled=True, batch_size=len(reqs), trace=plan.trace,
-            )
-            out.append(result)
-        return out
-
-    def _assemble_plan(
-        self, plan: _BatchPlan, outputs: dict, supervisor: Supervisor
-    ) -> LSResult:
-        """Turn one batch member's span outputs into its LSResult."""
-        trace = plan.trace
-        if plan.mode == "serial":
-            solver = plan.solver
-            if isinstance(solver, PinocchioVO):
-                return self._query_vo(
-                    solver, plan.table, plan.candidates, plan.cand_xy,
-                    plan.pf, plan.tau, 1, supervisor, trace=trace,
-                )
-            supervisor.check_deadline()
-            if plan.table is not None:
-                solver.table_factory = lambda _o, _p, _t: plan.table
-            with trace.child("dispatch", mode="serial"):
-                return solver.select(
-                    self.objects, plan.candidates, plan.pf, plan.tau
-                )
-        m = plan.cand_xy.shape[0]
-        counters = Instrumentation()
-        if plan.table is not None:
-            counters.dead_objects = plan.table.dead_objects
-            counters.pairs_total = plan.table.live_count * m
-        else:
-            counters.pairs_total = len(self.objects) * m
-        if plan.mode == "table":
-            influence = np.zeros(m, dtype=int)
-            with trace.child("merge"):
-                for task in plan.tasks:
-                    payload, span_counters, _record = outputs[task.task_id]
-                    influence[task.lo:task.hi] = payload
-                    counters.merge(span_counters)
-            return full_table_result(
-                plan.solver.name, plan.candidates, influence, counters
-            )
-        # mode "vo"
-        if plan.pruning == "dispatch":
-            prune_counters = Instrumentation()
-            min_inf = np.zeros(m, dtype=int)
-            vs_indexes: list[np.ndarray] = [None] * m  # type: ignore[list-item]
-            with trace.child("merge"):
-                for task in plan.tasks:
-                    (mi, vs), span_counters, _record = outputs[task.task_id]
-                    min_inf[task.lo:task.hi] = mi
-                    vs_indexes[task.lo:task.hi] = vs
-                    prune_counters.merge(span_counters)
-                self._prunings[plan.pruning_key] = (
-                    min_inf.copy(), vs_indexes, _counts_only(prune_counters)
-                )
-            counters.merge(prune_counters)
-        else:
-            # "cached": memoised before the batch, or stored moments
-            # ago by the earlier batch member that owned the dispatch
-            prune_span = trace.child("prune")
-            cached = self._prunings.get(plan.pruning_key)
-            if cached is None:
-                # a tiny pruning budget evicted the entry between the
-                # owning dispatch and this read — recompute serially in
-                # the parent (correctness never depends on residency)
-                prune_counters = Instrumentation()
-                supervisor.check_deadline()
-                with prune_counters.phase("pruning"):
-                    min_inf, vs_indexes = plan.solver.pruning_phase(
-                        plan.table, plan.cand_xy, prune_counters
-                    )
-                self._prunings[plan.pruning_key] = (
-                    min_inf.copy(), vs_indexes,
-                    _counts_only(prune_counters),
-                )
-                counters.merge(prune_counters)
-                prune_span.finish(cached=False)
-            else:
-                base_min_inf, vs_indexes, snapshot = cached
-                min_inf = base_min_inf.copy()
-                counters.merge(snapshot)
-                prune_span.finish(cached=True)
-        supervisor.check_deadline()
-        with trace.child("validate"):
-            return plan.solver.validation_phase(
-                plan.table, plan.candidates, plan.cand_xy, plan.pf,
-                plan.tau, counters, min_inf, vs_indexes,
-            )
-
-    def _batch_failures(
-        self,
-        plans: list[_BatchPlan],
-        supervisor: Supervisor,
-        started: float,
+        reason: str,
+        req: QueryRequest,
         batch_size: int,
-    ) -> None:
-        """Deadline overran the batch: account every unfinished member.
+        tenant: str | None,
+    ) -> QueryShed:
+        """Account one shed query: id, counters, report, JSONL record."""
+        query_id = self.stats.queries
+        self.stats.queries += 1
+        self.stats.queries_shed += 1
+        shed = QueryShed(
+            query_id=query_id,
+            reason=reason,
+            policy=self.admission.policy,
+            priority=req.priority,
+            algorithm=req.algorithm,
+            tau=float(req.tau),
+            candidates=len(req.candidates),
+            tenant=tenant,
+        )
+        self.admission.report.note_shed(shed)
+        # shed queries never executed, so they carry no span tree
+        self._append_record({
+            "schema": 2,
+            "trace_id": None,
+            "query": query_id,
+            "algorithm": req.algorithm,
+            "tau": float(req.tau),
+            "pf": None,
+            "candidates": len(req.candidates),
+            "elapsed_seconds": 0.0,
+            "shed": True,
+            "shed_reason": reason,
+            "shed_policy": self.admission.policy,
+            "priority": req.priority,
+            "tenant": tenant,
+            "batch_size": batch_size,
+            "best_candidate": None,
+            "best_influence": None,
+        })
+        self._m_queries.inc(
+            algorithm=req.algorithm, tier="none", status="shed"
+        )
+        self._m_shed.inc(reason=reason)
+        return shed
 
-        The supervision totals were already folded into the stats by
-        the caller; here each request that produced no result consumes
-        its query id and emits a failure record.
-        """
-        report = supervisor.report
-        elapsed = time.perf_counter() - started
-        for plan in plans:
-            self.stats.deadline_exceeded += 1
-            self.stats.queries += 1
-            self._append_record({
-                "schema": 2,
-                "trace_id": plan.trace.trace_id,
-                "query": plan.query_id,
-                "algorithm": plan.request.algorithm,
-                "tau": plan.tau,
-                "pf": repr(plan.pf),
-                "candidates": len(plan.candidates),
-                "elapsed_seconds": elapsed,
-                "deadline_seconds": supervisor.deadline_seconds,
-                "worker_failures": report.worker_failures,
-                "retries": report.retries,
-                "degraded": report.degraded,
-                "deadline_exceeded": True,
-                "pool": True,
-                "batch_size": batch_size,
-                "spans_dispatched": report.spans_dispatched,
-                "pool_respawns": report.respawns,
-                "best_candidate": None,
-                "best_influence": None,
-            })
-            self._m_queries.inc(
-                algorithm=plan.request.algorithm, tier="none",
-                status="deadline-exceeded",
-            )
-            plan.trace.set(error="DeadlineExceeded")
-            self.tracer.export(plan.trace)
+    def _fold_report(self, report) -> None:
+        """Accumulate one supervision report into the session stats."""
+        self.stats.worker_failures += report.worker_failures
+        self.stats.retries += report.retries
+        self.stats.degraded += int(report.degraded)
+        self.stats.spans_dispatched += report.spans_dispatched
+        self.stats.pool_respawns += report.respawns
 
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-    def _record_metrics(
-        self,
-        result: LSResult,
-        pf: ProbabilityFunction,
-        tau: float,
-        m: int,
-        workers_used: int,
-        *,
-        tier: str = "serial",
-        pooled: bool = False,
-        batch_size: int = 1,
-        trace=NOOP_SPAN,
-        approx_reason: str | None = None,
-    ) -> None:
+    def _record(
+        self, plan: _Plan, result: LSResult, started: float
+    ) -> LSResult:
+        """Account one answered query: stats, JSONL record, metrics,
+        and the exported span tree."""
+        result.elapsed_seconds = time.perf_counter() - started
+        self._sync_cache_stats()
+        self.stats.queries += 1
+        tier = plan.tier
+        if tier == "approx":
+            self.stats.approx_queries += 1
         inst = result.instrumentation
         record = {
             "schema": 2,
-            "trace_id": trace.trace_id,
-            "query": self.stats.queries - 1,
+            "trace_id": plan.trace.trace_id,
+            "query": plan.query_id,
             "algorithm": result.algorithm,
-            "tau": tau,
-            "pf": repr(pf),
-            "candidates": m,
-            "workers": workers_used,
+            "tau": plan.tau,
+            "pf": repr(plan.pf),
+            "candidates": len(plan.candidates),
+            "workers": self.workers if tier == "pool" else 1,
             "tier": tier,
             "quality": result.quality,
             "error_bound": result.error_bound,
-            "approx_reason": approx_reason,
+            "approx_reason": plan.approx_reason,
             "shed": False,
             "elapsed_seconds": result.elapsed_seconds,
             "pruning_seconds": inst.pruning_seconds,
@@ -1992,8 +1502,8 @@ class QueryEngine:
             "retries": inst.retries,
             "degraded": bool(inst.degraded),
             "deadline_exceeded": False,
-            "pool": pooled,
-            "batch_size": batch_size,
+            "pool": tier == "pool",
+            "batch_size": plan.batch_size,
             "spans_dispatched": inst.spans_dispatched,
             "pool_respawns": inst.pool_respawns,
             "cache_evictions": inst.cache_evictions,
@@ -2012,65 +1522,55 @@ class QueryEngine:
         if inst.validation_seconds:
             self._m_phase.inc(inst.validation_seconds, phase="validation")
         if tier == "approx":
-            self._m_approx.inc(reason=approx_reason or "requested")
+            self._m_approx.inc(reason=plan.approx_reason)
             self._m_approx_latency.observe(
                 result.elapsed_seconds, algorithm=result.algorithm
             )
             if result.error_bound is not None:
                 self._m_approx_bound.observe(result.error_bound)
-        trace.set(query=record["query"])
-        self.tracer.export(trace)
+        self.tracer.export(plan.trace)
+        return result
 
     def _record_failure(
-        self,
-        pf: ProbabilityFunction,
-        tau: float,
-        m: int,
-        algorithm: str,
-        supervisor: Supervisor,
-        started: float,
-        trace=NOOP_SPAN,
+        self, plan: _Plan, supervisor: Supervisor, started: float
     ) -> None:
         """Account a deadline-exceeded query in stats and metrics.
 
         The query produced no result, but it still consumed a query id
         and must be visible in the JSONL stream — a serving deployment
-        alerts on exactly these records.
+        alerts on exactly these records.  The supervision counters are
+        the whole round's.
         """
         report = supervisor.report
-        self.stats.worker_failures += report.worker_failures
-        self.stats.retries += report.retries
-        self.stats.spans_dispatched += report.spans_dispatched
-        self.stats.pool_respawns += report.respawns
         self.stats.deadline_exceeded += 1
-        query_id = self.stats.queries
         self.stats.queries += 1
         self._append_record({
             "schema": 2,
-            "trace_id": trace.trace_id,
-            "query": query_id,
-            "algorithm": algorithm,
-            "tau": tau,
-            "pf": repr(pf),
-            "candidates": m,
+            "trace_id": plan.trace.trace_id,
+            "query": plan.query_id,
+            "algorithm": plan.request.algorithm,
+            "tau": plan.tau,
+            "pf": repr(plan.pf),
+            "candidates": len(plan.candidates),
             "elapsed_seconds": time.perf_counter() - started,
             "deadline_seconds": supervisor.deadline_seconds,
             "worker_failures": report.worker_failures,
             "retries": report.retries,
             "degraded": report.degraded,
             "deadline_exceeded": True,
-            "pool": report.spans_dispatched > 0,
-            "batch_size": 1,
+            "pool": plan.tier == "pool",
+            "batch_size": plan.batch_size,
             "spans_dispatched": report.spans_dispatched,
             "pool_respawns": report.respawns,
             "best_candidate": None,
             "best_influence": None,
         })
         self._m_queries.inc(
-            algorithm=algorithm, tier="none", status="deadline-exceeded"
+            algorithm=plan.request.algorithm, tier="none",
+            status="deadline-exceeded",
         )
-        trace.set(query=query_id, error="DeadlineExceeded")
-        self.tracer.export(trace)
+        plan.trace.set(error="DeadlineExceeded")
+        self.tracer.export(plan.trace)
 
     def _append_record(self, record: dict) -> None:
         self.metrics_log.append(record)

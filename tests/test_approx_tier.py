@@ -72,8 +72,8 @@ def overload_engine(fleet, query, **kwargs):
 # Tier constants and ladder shape
 # ----------------------------------------------------------------------
 def test_tier_constants():
-    assert TIERS == ("pool", "fork", "serial", "approx")
-    assert EXACT_TIERS == ("pool", "fork", "serial")
+    assert TIERS == ("pool", "serial", "approx")
+    assert EXACT_TIERS == ("pool", "serial")
 
 
 def test_ladder_floor_without_approx():
@@ -89,7 +89,7 @@ def test_ladder_floor_with_approx():
     assert set(ladder.breakers) == set(EXACT_TIERS)
     ladder.trip_exact_tiers()
     assert all(state == "open" for state in ladder.states().values())
-    assert ladder.select(("pool", "fork", "serial", "approx")) == "approx"
+    assert ladder.select(("pool", "serial", "approx")) == "approx"
     # force_open of an already-open breaker must not re-count the trip
     trips = ladder.trips
     ladder.trip_exact_tiers()

@@ -49,6 +49,9 @@ class TestCLI:
     def test_serve_bench_rejects_faults_without_workers(self, capsys):
         assert main(["serve-bench", "--inject-fault", "crash:1"]) == 2
         assert "--workers" in capsys.readouterr().err
+        # parallel workers only exist on the pool
+        assert main(["serve-bench", "--workers", "2"]) == 2
+        assert "needs --pool" in capsys.readouterr().err
 
     def test_serve_bench_rejects_non_positive_deadline(self, capsys):
         assert main(["serve-bench", "--deadline", "0"]) == 2

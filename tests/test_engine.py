@@ -1,7 +1,7 @@
 """The serving engine: cache correctness, parallel identity, metrics.
 
 The load-bearing property throughout is *bit-identity*: a query served
-from the engine's caches — or sharded across worker processes — must
+from the engine's caches — or split across pool workers — must
 return exactly what a fresh ``select_location`` call returns, down to
 the full influence table and the logical work counters.
 """
@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro import QueryEngine, select_location
 from repro.core.result import Instrumentation
-from repro.engine.parallel import column_spans, fork_available
+from repro.engine import QueryRequest
+from repro.engine.pool import column_spans, fork_available
 from repro.model import Candidate, MovingObject
 from repro.prob import PowerLawPF
 
@@ -145,6 +146,8 @@ class TestEquivalence:
             QueryEngine([])
         with pytest.raises(ValueError):
             QueryEngine(world, workers=-1)
+        with pytest.raises(ValueError, match="pool=True"):
+            QueryEngine(world, workers=2)
 
 
 @given(
@@ -182,35 +185,30 @@ def test_property_engine_matches_fresh(
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 class TestWorkers:
-    """workers > 1 never changes any part of the result."""
+    """A pool engine never changes any part of the result."""
 
     @pytest.mark.parametrize("algorithm", ["NA", "PIN", "PIN-VO", "PIN-VO*"])
     def test_sharded_equals_serial(self, world, candidates, pf, algorithm):
         serial = QueryEngine(world, workers=1)
-        sharded = QueryEngine(world, workers=4)
-        a = serial.query(candidates, pf=pf, tau=0.7, algorithm=algorithm)
-        b = sharded.query(candidates, pf=pf, tau=0.7, algorithm=algorithm)
-        assert_same_result(b, a, counters=True)
-        # And again through the warmed caches on both sides.
-        assert_same_result(
-            sharded.query(candidates, pf=pf, tau=0.7, algorithm=algorithm),
-            serial.query(candidates, pf=pf, tau=0.7, algorithm=algorithm),
-            counters=True,
-        )
-
-    def test_worker_override_per_query(self, world, candidates, pf):
-        engine = QueryEngine(world, workers=4)
-        a = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        b = engine.query(
-            candidates, pf=pf, tau=0.7, algorithm="PIN", workers=0
-        )
-        assert_same_result(b, a, counters=True)
+        with QueryEngine(world, pool=True, workers=4) as sharded:
+            a = serial.query(candidates, pf=pf, tau=0.7, algorithm=algorithm)
+            b = sharded.query(candidates, pf=pf, tau=0.7, algorithm=algorithm)
+            assert_same_result(b, a, counters=True)
+            # And again through the warmed caches on both sides.
+            assert_same_result(
+                sharded.query(
+                    candidates, pf=pf, tau=0.7, algorithm=algorithm
+                ),
+                serial.query(candidates, pf=pf, tau=0.7, algorithm=algorithm),
+                counters=True,
+            )
 
     def test_scalar_naive_falls_back_to_serial(self, world, candidates, pf):
-        engine = QueryEngine(world, workers=4)
-        got = engine.query(
-            candidates, pf=pf, tau=0.7, algorithm="NA", kernel="scalar"
-        )
+        with QueryEngine(world, pool=True, workers=4) as engine:
+            got = engine.query(
+                candidates, pf=pf, tau=0.7, algorithm="NA", kernel="scalar"
+            )
+            assert engine.metrics_log[-1]["tier"] == "serial"
         want = select_location(
             world, candidates, pf=pf, tau=0.7, algorithm="NA", kernel="scalar"
         )
@@ -224,6 +222,31 @@ class TestWorkers:
                 for (_, hi), (lo, _) in zip(spans, spans[1:]):
                     assert hi == lo
                 assert len(spans) <= min(shards, m)
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+    def test_malformed_batch_consumes_nothing(
+        self, world, candidates, pf, pooled, tmp_path
+    ):
+        # Every request is validated before any is admitted: request 0
+        # is fine, request 1 is not, and neither may use up a query id,
+        # a cache counter, a pool segment, or a JSONL record.
+        path = tmp_path / "metrics.jsonl"
+        kwargs = {"pool": True, "workers": 2} if pooled else {}
+        with QueryEngine(world, metrics_path=path, **kwargs) as engine:
+            with pytest.raises(ValueError, match="tau"):
+                engine.query_batch([
+                    QueryRequest(candidates, pf, 0.7),
+                    QueryRequest(candidates, pf, 1.5),
+                ])
+            assert engine.stats.queries == 0
+            assert engine.stats.hits == engine.stats.misses == 0
+            assert engine.cache_info()["prunings"] == 0
+            assert engine.metrics_log == [] and not path.exists()
+            assert engine._pool is None  # no segment was published
+            got = engine.query_batch([QueryRequest(candidates, pf, 0.7)])
+            assert [r["query"] for r in engine.metrics_log] == [0]
+        want = select_location(world, candidates, pf=pf, tau=0.7)
+        assert_same_result(got[0], want, counters=True)
 
 
 class TestAdversarialWorlds:

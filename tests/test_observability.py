@@ -6,8 +6,9 @@ The contract under test is ``docs/observability.md``:
 * every admitted query produces one span tree (``admission`` → ``plan``
   → ``prune``/``dispatch``/``validate``/``merge``) whose ``trace_id``
   is stamped into the matching JSONL record (schema v2),
-* worker-side child spans travel back over the existing fork pipes and
-  pool reply queues and appear under the parent's dispatch/prune span,
+* worker-side child spans travel back over the pool's reply pipes and
+  appear under the parent's dispatch span, with one tree shape per
+  tier whichever query method served the request,
 * ``QueryEngine.metrics_text()`` renders valid Prometheus text
   exposition, and :class:`~repro.engine.MetricsServer` serves the same
   page over HTTP,
@@ -46,7 +47,7 @@ from repro.engine import (
     summarize_traces,
     worker_spans,
 )
-from repro.engine.parallel import fork_available
+from repro.engine.pool import fork_available
 from repro.engine.trace import record_span
 from repro.prob import PowerLawPF
 
@@ -302,7 +303,8 @@ class TestTracePrimitives:
 # engine integration: span trees per tier, trace_id correlation
 # ---------------------------------------------------------------------
 class TestEngineTracing:
-    def run_engine(self, world, candidates, tmp_path, **kwargs):
+    def run_engine(self, world, candidates, tmp_path, batch=False,
+                   **kwargs):
         path = tmp_path / "traces.jsonl"
         engine = QueryEngine(
             world, metrics_path=tmp_path / "metrics.jsonl",
@@ -310,7 +312,12 @@ class TestEngineTracing:
         )
         try:
             for algorithm in ("NA", "PIN", "PIN-VO"):
-                engine.query(candidates, tau=0.6, algorithm=algorithm)
+                if batch:
+                    engine.query_batch(
+                        [candidates], tau=0.6, algorithm=algorithm
+                    )
+                else:
+                    engine.query(candidates, tau=0.6, algorithm=algorithm)
         finally:
             engine.close()
         return engine, read_trace_file(path)
@@ -327,35 +334,28 @@ class TestEngineTracing:
             assert trace["attrs"]["tier"] == "serial"
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_fork_span_trees_carry_worker_spans(
-        self, world, candidates, tmp_path
-    ):
-        engine, traces = self.run_engine(
-            world, candidates, tmp_path, workers=2
-        )
-        na = traces[0]
-        assert span_names(na) == ["admission", "plan", "dispatch", "merge"]
-        shards = find_span(na, "dispatch")["children"]
-        assert [s["name"] for s in shards] == ["shard:na", "shard:na"]
-        assert all("pid" in s["attrs"] for s in shards)
-        vo = traces[2]
-        prunes = find_span(vo, "prune")["children"]
-        assert [s["name"] for s in prunes] == ["shard:vo_prune"] * 2
-        by_start = sorted(prunes, key=lambda s: s["start"])
-        assert worker_spans(vo) == by_start
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    @pytest.mark.parametrize("batch", [False, True], ids=["query", "batch"])
     def test_pool_span_trees_carry_worker_spans(
-        self, world, candidates, tmp_path
+        self, world, candidates, tmp_path, batch
     ):
         engine, traces = self.run_engine(
-            world, candidates, tmp_path, workers=2, pool=True
+            world, candidates, tmp_path, batch=batch, workers=2, pool=True
         )
-        na = traces[0]
-        assert traces[0]["attrs"]["tier"] == "pool"
+        na, _, vo = traces
+        for trace in traces:
+            assert trace["attrs"]["tier"] == "pool"
+        assert span_names(na) == ["admission", "plan", "dispatch", "merge"]
         spans = find_span(na, "dispatch")["children"]
         assert [s["name"] for s in spans] == ["span:na", "span:na"]
         assert sorted(s["attrs"]["worker"] for s in spans) == [0, 1]
+        # PIN-VO's pruning spans hang under the same dispatch node on
+        # both query methods; validation follows in the parent
+        assert span_names(vo) == [
+            "admission", "plan", "dispatch", "merge", "validate"
+        ]
+        prunes = find_span(vo, "dispatch")["children"]
+        assert [s["name"] for s in prunes] == ["span:vo_prune"] * 2
+        assert worker_spans(vo) == sorted(prunes, key=lambda s: s["start"])
 
     def test_trace_ids_match_jsonl_records(self, world, candidates, tmp_path):
         engine, traces = self.run_engine(world, candidates, tmp_path)
@@ -371,30 +371,38 @@ class TestEngineTracing:
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_batch_traces_every_request(self, world, candidates, tmp_path):
-        path = tmp_path / "traces.jsonl"
-        engine = QueryEngine(
-            world, workers=2, pool=True, trace_path=path,
-            metrics_path=tmp_path / "metrics.jsonl",
-        )
-        try:
-            engine.query_batch([
-                QueryRequest(candidates, None, 0.6, "PIN-VO"),
-                QueryRequest(candidates, None, 0.7, "NA"),
-            ])
-        finally:
-            engine.close()
-        traces = read_trace_file(path)
-        assert len(traces) == 2
-        for trace in traces:
-            assert trace["attrs"]["batch_size"] == 2
-            assert span_names(trace)[0] == "admission"
-        records = [
-            json.loads(line)
-            for line in (tmp_path / "metrics.jsonl").read_text().splitlines()
-        ]
-        assert {r["trace_id"] for r in records} == {
-            t["trace_id"] for t in traces
-        }
+        for tier, kwargs in (("serial", {}), ("pool", {"workers": 2,
+                                                       "pool": True})):
+            path = tmp_path / f"{tier}-traces.jsonl"
+            metrics = tmp_path / f"{tier}-metrics.jsonl"
+            engine = QueryEngine(
+                world, trace_path=path, metrics_path=metrics, **kwargs
+            )
+            try:
+                engine.query_batch([
+                    QueryRequest(candidates, None, 0.6, "PIN-VO"),
+                    QueryRequest(candidates, None, 0.7, "NA"),
+                    QueryRequest(candidates, None, 0.8, "PIN"),
+                ])
+            finally:
+                engine.close()
+            traces = read_trace_file(path)
+            assert len(traces) == 3
+            for trace in traces:
+                assert trace["attrs"]["batch_size"] == 3
+                assert span_names(trace)[0] == "admission"
+            records = [
+                json.loads(line) for line in metrics.read_text().splitlines()
+            ]
+            assert {r["trace_id"] for r in records} == {
+                t["trace_id"] for t in traces
+            }
+            # one record format on every tier: the round size, and
+            # "pool" exactly when the request ran on the pool tier
+            for record in records:
+                assert record["batch_size"] == 3
+                assert record["tier"] == tier
+                assert record["pool"] is (tier == "pool")
 
     def test_trace_summary_covers_every_query(
         self, world, candidates, tmp_path
@@ -542,7 +550,7 @@ class TestBitIdentity:
 def test_property_tracing_preserves_results_under_faults(
     n_objects, n_candidates, algorithm, kind, worker, seed, tmp_path_factory
 ):
-    """With tracing ON and any single-shard fault schedule, the engine's
+    """With tracing ON and any single-worker fault schedule, the engine's
     answer still equals fault-free serial execution — the span tree
     observes the retry/degrade machinery without steering it."""
     rng = np.random.default_rng(seed)
@@ -555,6 +563,7 @@ def test_property_tracing_preserves_results_under_faults(
     tmp_path = tmp_path_factory.mktemp("traces")
     engine = QueryEngine(
         objects,
+        pool=True,
         workers=4,
         trace_path=tmp_path / "t.jsonl",
         supervisor_policy=SupervisorPolicy(

@@ -8,7 +8,7 @@ and degradation-ladder semantics:
   shed with a typed ``QueryShed`` outcome (never a silent drop — every
   shed emits a JSONL record), and the shedding policy decides *which*
   queries go,
-* the pool → fork → serial degradation ladder is *lossless* and
+* the pool → serial degradation ladder is *lossless* and
   deterministic: repeated tier failures trip that tier's circuit
   breaker, later queries route to the next tier down, and every
   completed query stays bit-identical to fault-free serial execution —
@@ -138,6 +138,13 @@ class TestAdmissionController:
         admitted, shed = ctl.admit_batch([0, 0, 0, 0])
         assert admitted == [2, 3]
         assert shed == [(0, "superseded"), (1, "superseded")]
+        # no free slot at all: nothing in the round displaced the sheds,
+        # so every policy reports them as queue-full
+        for policy in ("reject", "oldest", "by-priority"):
+            full = AdmissionController(1, max_queue_depth=0, policy=policy)
+            assert full.admit_batch([0, 5], phantom=1) == (
+                [], [(0, "queue-full"), (1, "queue-full")]
+            )
 
     def test_by_priority_keeps_high_priorities_fifo_ties(self):
         ctl = AdmissionController(1, max_queue_depth=1, policy="by-priority")
@@ -303,13 +310,11 @@ class TestDegradationLadder:
             BreakerConfig(failure_threshold=1, recovery_seconds=100.0),
             clock=clock,
         )
-        tiers = ("pool", "fork", "serial")
+        tiers = ("pool", "serial")
         assert ladder.select(tiers) == "pool"
         ladder.record("pool", ok=False)
-        assert ladder.select(tiers) == "fork"
-        ladder.record("fork", ok=False)
         assert ladder.select(tiers) == "serial"
-        assert ladder.trips == 2
+        assert ladder.trips == 1
         # recovery walks back up
         clock.now = 100.0
         assert ladder.select(tiers) == "pool"
@@ -622,7 +627,7 @@ class TestHealth:
         engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
         h = engine.health()
         assert h["status"] == "ok" and h["tier"] == "serial"
-        assert set(h["breakers"]) == {"pool", "fork"}
+        assert set(h["breakers"]) == {"pool"}
         assert h["admission"]["max_inflight"] == 4
         assert set(h["caches"]) == {
             "tables", "candidate_sets", "rtrees", "prunings", "sketches"
@@ -656,33 +661,38 @@ class TestHealth:
     def test_health_reports_degraded_when_fork_breaker_open(
         self, world, candidates, pf
     ):
-        engine = QueryEngine(
+        with QueryEngine(
             world,
+            pool=True,
             workers=2,
             supervisor_policy=FAST,
             breaker=BreakerConfig(failure_threshold=1),
             fault_injector=FaultInjector(
                 [FaultSpec(kind="crash", query=0, times=99)]
             ),
-        )
-        engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        h = engine.health()
+        ) as engine:
+            engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            h = engine.health()
         assert h["status"] == "degraded"
         assert h["tier"] == "serial"
-        assert h["breakers"]["fork"]["state"] == "open"
+        assert h["breakers"]["pool"]["state"] == "open"
         assert h["breaker_trips"] >= 1
 
 
 # ---------------------------------------------------------------------------
-# The degradation ladder inside the engine (fork path)
+# The degradation ladder inside the engine (pool tier)
 # ---------------------------------------------------------------------------
 @fork_only
 class TestEngineLadder:
     def test_tripped_fork_breaker_routes_next_queries_serial(
         self, world, candidates, pf
     ):
-        engine = QueryEngine(
+        want = select_location(
+            world, candidates, pf=pf, tau=0.7, algorithm="PIN"
+        )
+        with QueryEngine(
             world,
+            pool=True,
             workers=2,
             supervisor_policy=FAST,
             breaker=BreakerConfig(
@@ -691,26 +701,27 @@ class TestEngineLadder:
             fault_injector=FaultInjector(
                 [FaultSpec(kind="crash", query=0, times=99)]
             ),
-        )
+        ) as engine:
+            # query 0: persistent crashes trip the pool breaker and the
+            # query degrades to serial — bit-identical regardless
+            got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            assert_same_result(got, want, counters=True)
+            assert engine.stats.breaker_trips >= 1
+            assert engine.metrics_log[-1]["tier"] == "pool"
+            # query 1: the ladder routes it straight to serial — no
+            # worker dispatch, no retry cost, same answer
+            got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            assert_same_result(got, want, counters=True)
+            assert engine.metrics_log[-1]["tier"] == "serial"
+            assert engine.metrics_log[-1]["worker_failures"] == 0
+
+    def test_breaker_self_heals_through_a_probe(self, world, candidates, pf):
         want = select_location(
             world, candidates, pf=pf, tau=0.7, algorithm="PIN"
         )
-        # query 0: persistent crashes trip the fork breaker and the
-        # query degrades to serial — bit-identical regardless
-        got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert_same_result(got, want, counters=True)
-        assert engine.stats.breaker_trips >= 1
-        assert engine.metrics_log[-1]["tier"] == "fork"
-        # query 1: the ladder routes it straight to serial — no worker
-        # dispatch, no retry cost, same answer
-        got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert_same_result(got, want, counters=True)
-        assert engine.metrics_log[-1]["tier"] == "serial"
-        assert engine.metrics_log[-1]["worker_failures"] == 0
-
-    def test_breaker_self_heals_through_a_probe(self, world, candidates, pf):
-        engine = QueryEngine(
+        with QueryEngine(
             world,
+            pool=True,
             workers=2,
             supervisor_policy=FAST,
             breaker=BreakerConfig(
@@ -719,18 +730,15 @@ class TestEngineLadder:
             fault_injector=FaultInjector(
                 [FaultSpec(kind="crash", query=0, times=99)]
             ),
-        )
-        want = select_location(
-            world, candidates, pf=pf, tau=0.7, algorithm="PIN"
-        )
-        engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert engine.stats.breaker_trips >= 1
-        # zero recovery window: the next query probes the fork tier,
-        # runs clean (the fault was keyed to query 0), and closes it
-        got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert_same_result(got, want, counters=True)
-        assert engine.metrics_log[-1]["tier"] == "fork"
-        assert engine.health()["breakers"]["fork"]["state"] == "closed"
+        ) as engine:
+            engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            assert engine.stats.breaker_trips >= 1
+            # zero recovery window: the next query probes the pool tier,
+            # runs clean (the fault was keyed to query 0), and closes it
+            got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            assert_same_result(got, want, counters=True)
+            assert engine.metrics_log[-1]["tier"] == "pool"
+            assert engine.health()["breakers"]["pool"]["state"] == "closed"
 
 
 # ---------------------------------------------------------------------------
@@ -766,6 +774,7 @@ class TestLosslessLadderProperty:
             )
         engine = QueryEngine(
             world,
+            pool=True,
             workers=2,
             supervisor_policy=FAST,
             max_inflight=1,

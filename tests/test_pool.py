@@ -8,9 +8,9 @@ semantics:
   full influence table and logical work counters — for every
   algorithm, and ``query_batch`` is bit-identical to issuing the same
   ``query`` calls sequentially (property-tested over random worlds),
-* a worker killed mid-batch is respawned (visible as
-  ``EngineStats.pool_respawns``) and the batch still completes with
-  bit-identical answers,
+* a worker killed mid-batch — or dead idle between queries — is
+  respawned (visible as ``EngineStats.pool_respawns``) and the query
+  still completes with bit-identical answers, never a traceback,
 * shared-memory segments never leak: ``close()`` unlinks every
   ``/dev/shm`` entry the pool created, and an engine abandoned without
   ``close()`` is cleaned up at interpreter exit,
@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro import QueryEngine, select_location
 from repro.engine import FaultInjector, FaultSpec, QueryRequest, pool_segments
-from repro.engine.parallel import fork_available
+from repro.engine.pool import fork_available
 from repro.prob import PowerLawPF
 
 from .helpers import make_candidates, make_objects
@@ -159,6 +159,26 @@ class TestSupervision:
             got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
             if kind == "exception":
                 assert engine.stats.worker_failures >= 1
+        want = select_location(
+            world, candidates, pf=pf, tau=0.7, algorithm="PIN"
+        )
+        assert_same_result(got, want, counters=True)
+        assert_no_orphans()
+
+    def test_worker_dead_between_queries_is_respawned(
+        self, world, candidates, pf
+    ):
+        # Kill a worker while it is idle: the next dispatch's send hits
+        # a closed pipe, which must count as a worker death (respawn,
+        # re-dispatch) instead of escaping as a BrokenPipeError.
+        with pooled_engine(world, workers=2) as engine:
+            engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            dead = engine._pool._workers[0].process
+            dead.kill()
+            dead.join()
+            got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
+            assert engine.stats.pool_respawns == 1
+            assert engine._pool._workers[0].process is not dead
         want = select_location(
             world, candidates, pf=pf, tau=0.7, algorithm="PIN"
         )

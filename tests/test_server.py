@@ -591,6 +591,7 @@ class TestServeCLIFlags:
         assert main(["serve", "--port", "-1"]) == 2
         assert main(["serve", "--workers", "-2"]) == 2
         assert main(["serve", "--pool"]) == 2  # pool needs workers >= 2
+        assert main(["serve", "--workers", "2"]) == 2  # ... and vice versa
         assert main(["serve", "--shed-policy", "nope"]) == 2
         assert main(["serve", "--drain-seconds", "-1"]) == 2
         assert main(["serve", "--max-inflight", "0"]) == 2
