@@ -1,8 +1,8 @@
 """Ablations of the design choices called out in DESIGN.md §5.
 
 * candidate classification: R-tree range queries (the paper's design)
-  vs chunked broadcast scan (our NumPy default) — identical split,
-  different constants;
+  vs the STR-blocked broadcast scan (our NumPy default) — identical
+  split, different constants;
 * object-side indexing: the paper argues (§4.3) that indexing object
   MBRs cannot help because activity regions overlap heavily — measured
   here as the fraction of R-tree leaves a typical NIB query touches;

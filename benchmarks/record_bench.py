@@ -38,9 +38,9 @@ count, and traced pool p50 within 1.05× of untraced — are checked
 here and reported in the artifacts.
 
 ``--ladder`` switches to the object-count scale ladder instead:
-10³ → 10⁶ objects at constant spatial density, measuring the columnar
-IA/NIB classification kernel against the legacy per-entry path (with
-a chunk-wise bit-identity gate), warm-serial query latency, a pool
+10³ → 10⁶ objects at constant spatial density, measuring the blocked
+IA/NIB classification scan against the dense all-pairs scan (with a
+block-wise bit-identity gate), warm-serial query latency, a pool
 worker sweep, and the process's peak RSS per rung — written to
 ``BENCH_6.json`` + ``results/engine_scale_ladder.txt``.
 ``--ladder-smoke`` (the ``make bench-ladder`` CI step) runs only the
@@ -84,7 +84,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import classify_chunks, classify_table_chunks
+from repro.core.pruning import (
+    CLASSIFY_CHUNK,
+    classify_span,
+    classify_table_chunks,
+)
 from repro.datasets import gowalla_like
 from repro.engine import (
     FaultInjector,
@@ -396,32 +400,48 @@ def classification_microbench(
     cand_xy: np.ndarray,
     reps: int = 3,
 ) -> dict:
-    """Columnar vs legacy full-table classification, per query.
+    """Blocked vs dense full-table classification, per query.
 
-    The legacy pass is exactly what every query used to pay: rebuild
-    the five MBR/radius arrays from the Python entry list, then
-    broadcast.  The columnar pass reads the table-cached arrays.  Both
-    are checked chunk-by-chunk for bit-identity before timing.
+    The blocked pass is the hot path, :func:`classify_table_chunks`:
+    STR chunks, each classified only against the candidates inside its
+    NIB box.  The dense pass is :func:`classify_span` over every
+    object x candidate pair, in ``CLASSIFY_CHUNK`` row slices.  Before
+    timing, every block is scattered back into its rows' dense
+    ``(rows, m)`` matrices and checked bit for bit against dense
+    ``classify_span`` on those rows, and every row must be covered
+    exactly once.
     """
+    mbrs, radii = table.mbr_radius_arrays()
+    count, m = mbrs.shape[0], cand_xy.shape[0]
+    covered = np.zeros(count, dtype=int)
     identical = True
-    legacy_iter = classify_chunks(table.entries, cand_xy)
-    for start, stop, ia, band in classify_table_chunks(table, cand_xy):
-        _, legacy_ia, legacy_band = next(legacy_iter)
+    for rows, cols, ia, band in classify_table_chunks(table, cand_xy):
+        covered[rows] += 1
+        dense_ia, dense_band = classify_span(mbrs[rows], radii[rows], cand_xy)
+        got_ia = np.zeros((rows.size, m), dtype=bool)
+        got_band = np.zeros((rows.size, m), dtype=bool)
+        got_ia[:, cols] = ia
+        got_band[:, cols] = band
         if not (
-            np.array_equal(ia, legacy_ia)
-            and np.array_equal(band, legacy_band)
+            np.array_equal(got_ia, dense_ia)
+            and np.array_equal(got_band, dense_band)
         ):
             identical = False
+    identical = identical and bool(np.all(covered == 1))
 
-    def columnar_pass():
+    def blocked_pass():
         pairs = 0
         for _, _, ia, band in classify_table_chunks(table, cand_xy):
             pairs += int(np.count_nonzero(ia)) + int(np.count_nonzero(band))
         return pairs
 
-    def legacy_pass():
+    def dense_pass():
         pairs = 0
-        for _, ia, band in classify_chunks(table.entries, cand_xy):
+        for start in range(0, count, CLASSIFY_CHUNK):
+            stop = start + CLASSIFY_CHUNK
+            ia, band = classify_span(
+                mbrs[start:stop], radii[start:stop], cand_xy
+            )
             pairs += int(np.count_nonzero(ia)) + int(np.count_nonzero(band))
         return pairs
 
@@ -433,17 +453,16 @@ def classification_microbench(
             times.append(time.perf_counter() - started)
         return min(times)
 
-    columnar_pass()  # warm the table-cached arrays once
-    columnar_s = best_of(columnar_pass)
-    legacy_s = best_of(legacy_pass)
-    pairs = table.live_count * cand_xy.shape[0]
+    blocked_s = best_of(blocked_pass)
+    dense_s = best_of(dense_pass)
+    pairs = count * m
     return {
         "bit_identical": identical,
-        "columnar_ms_per_query": round(columnar_s * 1000.0, 3),
-        "legacy_ms_per_query": round(legacy_s * 1000.0, 3),
-        "speedup": round(legacy_s / columnar_s, 2) if columnar_s else None,
-        "pairs_per_second_columnar": (
-            round(pairs / columnar_s) if columnar_s else None
+        "blocked_ms_per_query": round(blocked_s * 1000.0, 3),
+        "dense_ms_per_query": round(dense_s * 1000.0, 3),
+        "speedup": round(dense_s / blocked_s, 2) if blocked_s else None,
+        "pairs_per_second_blocked": (
+            round(pairs / blocked_s) if blocked_s else None
         ),
     }
 
@@ -581,7 +600,7 @@ def run_scale_ladder(
     identical = all(r["classification"]["bit_identical"] for r in results)
     headline = {
         "top_rung_objects": top["n_objects"],
-        "columnar_vs_legacy_classification": top["classification"][
+        "blocked_vs_dense_classification": top["classification"][
             "speedup"
         ],
         "pool_vs_serial_p50": top["comparisons"].get("pool_vs_serial_p50"),
@@ -616,7 +635,7 @@ def render_ladder(payload: dict) -> str:
     """The ladder table archived to ``results/engine_scale_ladder.txt``."""
     table = TextTable(
         [
-            "objects", "cands", "columnar ms", "legacy ms", "kernel x",
+            "objects", "cands", "blocked ms", "dense ms", "kernel x",
             "serial p50", "pool p50", "pool x", "peak rss MB",
         ]
     )
@@ -627,8 +646,8 @@ def render_ladder(payload: dict) -> str:
         table.add_row(
             [
                 r["n_objects"], r["n_candidates"],
-                micro["columnar_ms_per_query"],
-                micro["legacy_ms_per_query"],
+                micro["blocked_ms_per_query"],
+                micro["dense_ms_per_query"],
                 micro["speedup"],
                 r["scenarios"]["warm-serial"]["p50_ms"],
                 pool_p50,
@@ -647,8 +666,8 @@ def render_ladder(payload: dict) -> str:
             )
         ),
         (
-            "columnar and legacy classification kernels bit-identical on "
-            f"every rung: {t['bit_identical']}"
+            "blocked and dense classification bit-identical on every "
+            f"rung: {t['bit_identical']}"
         ),
         (
             f"top-rung pool vs warm-serial p50: "
@@ -670,7 +689,7 @@ def main_ladder(args) -> int:
         print(render_ladder(payload))
         if not payload["targets"]["bit_identical"]:
             print(
-                "columnar/legacy kernel mismatch on the smoke rungs",
+                "blocked/dense classification mismatch on the smoke rungs",
                 file=sys.stderr,
             )
             return 1

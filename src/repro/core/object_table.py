@@ -204,6 +204,10 @@ class ObjectTable:
         self._cols: ColumnarTable | None = None
         self._mbrs: np.ndarray | None = None
         self._radii: np.ndarray | None = None
+        #: chunk size → the STR chunking of the rows that
+        #: :func:`repro.core.pruning.classify_table_chunks` builds on
+        #: first use (a row permutation plus one NIB box per chunk)
+        self.classify_blocks: dict[int, tuple] = {}
 
     @property
     def entries(self) -> list[ObjectEntry]:
@@ -313,6 +317,7 @@ class ObjectTable:
         table._cols = cols
         table._mbrs = cols.mbrs
         table._radii = cols.radii
+        table.classify_blocks = {}
         return table
 
     @property

@@ -20,7 +20,11 @@ from repro.core.influence import (
     validate_pair,
 )
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import classify_candidates, classify_table_chunks
+from repro.core.pruning import (
+    band_by_row,
+    classify_candidates,
+    classify_table_chunks,
+)
 from repro.core.result import Instrumentation, LSResult, full_table_result
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -107,31 +111,22 @@ class Pinocchio(LocationSelector):
                         )
         else:
             positions, offsets = table.positions_offsets()
-            for start, stop, ia, band in classify_table_chunks(
-                table, cand_xy
-            ):
+            for rows, cols, ia, band in classify_table_chunks(table, cand_xy):
                 ia_count = int(np.count_nonzero(ia))
                 band_count = int(np.count_nonzero(band))
                 counters.pairs_pruned_ia += ia_count
                 counters.pairs_pruned_nib += (
-                    (stop - start) * m - ia_count - band_count
+                    rows.size * m - ia_count - band_count
                 )
-                influence += ia.sum(axis=0)
-                rows, cols = np.nonzero(band)
-                boundaries = np.searchsorted(
-                    rows, np.arange(stop - start + 1)
-                )
+                influence[cols] += ia.sum(axis=0)
+                work = list(band_by_row(rows, cols, band))
                 with counters.phase("validation"):
-                    for i in range(stop - start):
-                        maybe = cols[boundaries[i] : boundaries[i + 1]]
-                        if maybe.size:
-                            self._validate_band(
-                                positions[
-                                    offsets[start + i] : offsets[start + i + 1]
-                                ],
-                                maybe, cand_xy, pf,
-                                log_threshold, influence, counters,
-                            )
+                    for row, maybe in work:
+                        self._validate_band(
+                            positions[offsets[row] : offsets[row + 1]],
+                            maybe, cand_xy, pf,
+                            log_threshold, influence, counters,
+                        )
         validation_delta = counters.validation_seconds - validation_before
         counters.pruning_seconds += (
             time.perf_counter() - started

@@ -202,27 +202,22 @@ class PinocchioVO(LocationSelector):
             return min_inf, [everything] * m
         if self.use_rtree:
             return self._prune_with_rtree(table, cand_xy, counters, min_inf)
-        all_rows: list[np.ndarray] = []
-        all_cols: list[np.ndarray] = []
-        for start, stop, ia, band in classify_table_chunks(table, cand_xy):
+        stride = max(table.live_count, 1)
+        keys: list[np.ndarray] = []
+        for rows, cols, ia, band in classify_table_chunks(table, cand_xy):
             ia_count = int(np.count_nonzero(ia))
             band_count = int(np.count_nonzero(band))
             counters.pairs_pruned_ia += ia_count
-            counters.pairs_pruned_nib += (
-                (stop - start) * m - ia_count - band_count
-            )
-            min_inf += ia.sum(axis=0)
-            rows, cols = np.nonzero(band)
-            all_rows.append(rows + start)
-            all_cols.append(cols)
-        rows = np.concatenate(all_rows) if all_rows else np.empty(0, dtype=int)
-        cols = np.concatenate(all_cols) if all_cols else np.empty(0, dtype=int)
-        # Group band pairs by candidate with one sort instead of
-        # per-pair list appends.
-        order = np.argsort(cols, kind="stable")
-        rows = rows[order]
-        cols = cols[order]
-        boundaries = np.searchsorted(cols, np.arange(m + 1))
+            counters.pairs_pruned_nib += rows.size * m - ia_count - band_count
+            min_inf[cols] += ia.sum(axis=0)
+            band_rows, band_cols = np.nonzero(band)
+            keys.append(cols[band_cols] * stride + rows[band_rows])
+        # One sort of the (candidate, row) keys groups the band pairs by
+        # candidate, each verification set in ascending row order
+        # whatever order the chunks ran in.
+        key = np.sort(np.concatenate(keys)) if keys else np.empty(0, dtype=int)
+        boundaries = np.searchsorted(key, np.arange(m + 1) * stride)
+        rows = key % stride
         vs_indexes = [
             rows[boundaries[j] : boundaries[j + 1]] for j in range(m)
         ]

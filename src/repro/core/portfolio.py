@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.base import candidates_to_array
 from repro.core.influence import batch_log_non_influence, influence_threshold_log
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import classify_chunks
+from repro.core.pruning import band_by_row, classify_table_chunks
 from repro.core.result import Instrumentation
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -57,29 +57,21 @@ def influence_bitsets(
     counters.pairs_total = r * m
     log_threshold = influence_threshold_log(tau)
     masks = np.zeros((m, r), dtype=bool)
-    row_offset = 0
-    for chunk, ia, band in classify_chunks(table.entries, cand_xy):
+    positions, offsets = table.positions_offsets()
+    for rows, cols, ia, band in classify_table_chunks(table, cand_xy):
         counters.pairs_pruned_ia += int(np.count_nonzero(ia))
         counters.pairs_pruned_nib += int(
-            len(chunk) * m - np.count_nonzero(ia) - np.count_nonzero(band)
+            rows.size * m - np.count_nonzero(ia) - np.count_nonzero(band)
         )
-        masks[:, row_offset : row_offset + len(chunk)] |= ia.T
-        rows, cols = np.nonzero(band)
-        boundaries = np.searchsorted(rows, np.arange(len(chunk) + 1))
-        for i, entry in enumerate(chunk):
-            maybe = cols[boundaries[i] : boundaries[i + 1]]
-            if not maybe.size:
-                continue
-            logs = batch_log_non_influence(
-                pf, entry.obj.positions, cand_xy[maybe]
-            )
-            influenced = maybe[logs <= log_threshold]
-            masks[influenced, row_offset + i] = True
+        masks[np.ix_(cols, rows)] = ia.T
+        for row, maybe in band_by_row(rows, cols, band):
+            object_xy = positions[offsets[row] : offsets[row + 1]]
+            logs = batch_log_non_influence(pf, object_xy, cand_xy[maybe])
+            masks[maybe[logs <= log_threshold], row] = True
             counters.pairs_validated += maybe.size
-            n = entry.obj.n_positions
+            n = object_xy.shape[0]
             counters.positions_total += n * maybe.size
             counters.positions_evaluated += n * maybe.size
-        row_offset += len(chunk)
     return [masks[j] for j in range(m)]
 
 

@@ -7,11 +7,26 @@ For one object entry, candidates split into three groups:
   validated exactly,
 * everything else — outside the NIB region: certainly not influencing.
 
-The R-tree is queried once with the NIB bounding box (the MBR expanded
-by ``minMaxRadius``); candidates outside that box already fail the NIB
-test, and the survivors are classified exactly with the vectorised
-``maxDist``/``minDist`` bounds.  This is equivalent to the paper's two
-range queries (Algorithm 2 lines 6/9) but touches the index once.
+One kernel decides the split everywhere: :func:`classify_span`
+compares squared ``maxDist``/``minDist`` bounds against the squared
+``minMaxRadius`` of each object, with a relative guard band
+(:data:`CLASSIFY_GUARD`): a pair is IA only if
+``maxDist² <= r²·(1 − g)`` and band if ``minDist² <= r²·(1 + g)``, so a
+pair within ``g`` of the boundary goes to exact validation instead of
+being decided by the rounding of ``r``.
+
+The whole-table scan, :func:`classify_table_chunks`, is the columnar
+form of the paper's candidate range queries (Algorithm 2 lines 6/9).
+It visits the table's rows in Sort-Tile-Recursive chunks (a cached
+permutation; the rows are not reordered), takes each chunk's union NIB
+box, picks the candidates inside that box from x-sorted candidate
+columns, and runs the kernel on just that ``(chunk rows, candidates)``
+block, so its work follows the number of nearby pairs rather than
+``objects × candidates``.  The box only removes work: every candidate
+outside it is NIB-pruned by the kernel itself (see :func:`nib_boxes`),
+so the split, and every count derived from it, equals the dense scan's.
+The per-object R-tree path (:func:`classify_candidates`) queries the
+same padded box and decides its survivors with the same kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.object_table import ObjectEntry, ObjectTable
-from repro.index.rtree import RTree
+from repro.geo.mbr import MBR
+from repro.index.rtree import RTree, str_groups
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,10 +59,10 @@ def classify_chunk(
     ``ia`` (candidate certainly influences the object) and ``band``
     (candidate needs exact validation).  Everything else is NIB-pruned.
 
-    This is the scan counterpart of the per-object R-tree path: the
-    same split, computed as a handful of broadcast operations instead
-    of one index query per object.  Callers chunk the object list to
-    bound the ``(r, m)`` intermediates.
+    The dense entry-list reference for tests and kernel benchmarks:
+    it rebuilds the columns from the entries and scores every pair,
+    where :func:`classify_table_chunks` reads cached arrays and scores
+    only the pairs inside each chunk's NIB box.
     """
     min_x = np.array([e.mbr.min_x for e in entries])[:, None]
     min_y = np.array([e.mbr.min_y for e in entries])[:, None]
@@ -79,6 +95,27 @@ def classify_span(
         radii[:, None],
         cand_xy,
     )
+
+
+#: relative guard band of the IA/NIB tests on squared distances.  A
+#: pair within ``g`` of ``r²`` is sent to exact validation, because
+#: ``r = PF⁻¹(·)`` and the squared distance each carry a few ulps of
+#: rounding that can put it on the wrong side.  One candidate at
+#: exactly ``minMaxRadius`` from an object of 1-5 identical positions,
+#: 20,000 placements for each of the six shipped PFs (at their
+#: defaults) and τ ∈ {0.5, 0.7, 0.9}: the squared tests disagreed with
+#: NA 50,995 times at g = 0, 1,843 times at 1e-15 and never at 1e-14,
+#: the smallest power of ten that zeroes the sweep.  The worst of
+#: 200,000 placements per PF and τ, in squares of 30 to 1,000 km,
+#: needed g = 2.4e-15
+CLASSIFY_GUARD = 1e-14
+_IA_SCALE = 1.0 - CLASSIFY_GUARD
+_BAND_SCALE = 1.0 + CLASSIFY_GUARD
+
+#: relative pad of a NIB box, on ``max(1, |coordinates|, r)``: the
+#: guard band plus ``16u`` (``eps = 2u``) for the rounding of the box
+#: edge and of the kernel; the proof is in :func:`nib_boxes`
+_BOX_PAD = CLASSIFY_GUARD + 8 * float(np.finfo(np.float64).eps)
 
 
 #: float64 elements per ``(r, tile)`` broadcast temporary before the
@@ -124,45 +161,86 @@ def _classify_tile(min_x, min_y, max_x, max_y, radius, cand_xy):
     dy = np.maximum(np.abs(y - min_y), np.abs(y - max_y))
     max_d2 = dx * dx + dy * dy
     r2 = radius * radius
-    ia = max_d2 <= r2
-    band = ~ia & (min_d2 <= r2)
+    ia = max_d2 <= r2 * _IA_SCALE
+    band = ~ia & (min_d2 <= r2 * _BAND_SCALE)
     return ia, band
 
 
-#: objects per classification chunk — bounds peak memory of the
-#: ``(chunk, m)`` broadcast intermediates to a few MB
+#: objects per STR chunk of the blocked scan.  Smaller chunks have
+#: tighter NIB boxes (fewer kernel pairs) but more per-chunk overhead.
+#: Median PIN-VO pruning phase per query at 256/512/1024/2048 (2-vCPU
+#: Xeon, 12 queries x 5 interleaved passes, uniform fleets of 4-16
+#: positions): 30k objects x 128 candidates 28.5/24.6/24.5/32.6 ms;
+#: 20k x 32 (one pool span) 9.6/7.3/6.8/7.8 ms; only 10⁵ x 10³ prefers
+#: smaller chunks (148/151/189/262 ms)
 CLASSIFY_CHUNK = 1024
 
 
 def _check_chunk_size(chunk_size: int) -> None:
-    # range(0, n, chunk_size) with a negative step silently yields no
-    # chunks (an all-zero influence table downstream) and a zero step
-    # raises a bare ValueError from range — fail loudly instead.
+    # A zero size divides by zero in the STR grouping and a negative
+    # one yields no chunks (an all-zero influence table downstream) —
+    # fail loudly at the call site instead.
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
 
 
-def classify_chunks(
-    entries: list[ObjectEntry],
-    cand_xy: np.ndarray,
-    chunk_size: int = CLASSIFY_CHUNK,
-):
-    """Yield ``(chunk_entries, ia, band)`` over object chunks.
+def nib_boxes(mbrs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Padded NIB boxes ``(min_x, min_y, max_x, max_y)``, one per row.
 
-    ``ia``/``band`` are the boolean matrices of :func:`classify_chunk`
-    restricted to the chunk's rows.  This is the legacy entry-list
-    path, kept for ablations and the columnar-identity tests;
-    :func:`classify_table_chunks` is the hot path.
+    Row ``i``'s box is its MBR grown by ``r + pad`` on every side, with
+    ``pad = _BOX_PAD · s`` and ``s = max(1, |MBR coordinates|, r)``.
+    **Every candidate outside the box is NIB-pruned by the kernel.**
+    Say ``x`` lies left of the box, and let ``u = 2⁻⁵³``.  The edge
+    ``fl(min_x − fl(r + fl(_BOX_PAD·s)))`` is within ``4u·s`` of its
+    exact value, so ``D = min_x − x > r + (g + 12u)·s``.  Hence ``D²``
+    exceeds both ``r²(1 + g + 24u)`` and ``(12u)²`` (it is a normal
+    float).  The kernel's ``minDist²`` is at least
+    ``fl(fl(min_x − x)²) ≥ D²(1 − u)³`` and its threshold
+    ``fl(fl(r·r)·fl(1 + g))`` is at most ``r²(1 + g)(1 + u)³``, so
+    ``minDist²`` is above the threshold: the pair is neither band nor
+    IA (``maxDist² ≥ minDist²``).  The other three sides are symmetric.
     """
-    _check_chunk_size(chunk_size)
+    scale = np.maximum(np.abs(mbrs).max(axis=1, initial=1.0), radii)
+    grow = radii + _BOX_PAD * scale
+    return np.column_stack(
+        (
+            mbrs[:, 0] - grow,
+            mbrs[:, 1] - grow,
+            mbrs[:, 2] + grow,
+            mbrs[:, 3] + grow,
+        )
+    )
 
-    def gen():
-        for start in range(0, len(entries), chunk_size):
-            chunk = entries[start : start + chunk_size]
-            ia, band = classify_chunk(chunk, cand_xy)
-            yield chunk, ia, band
 
-    return gen()
+def _table_blocks(
+    table: ObjectTable, chunk_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table's STR chunks: ``(order, starts, boxes)``, memoised.
+
+    ``order[starts[b]:starts[b + 1]]`` are chunk ``b``'s rows and
+    ``boxes[b]`` is the union of their :func:`nib_boxes`.  Depends only
+    on the table's MBRs and radii, so it is built once per table and
+    chunk size and cached on the table; only the permutation and the
+    per-chunk boxes are kept, never a permuted copy of the MBRs.
+    """
+    blocks = table.classify_blocks.get(chunk_size)
+    if blocks is None:
+        mbrs, radii = table.mbr_radius_arrays()
+        centres = (mbrs[:, :2] + mbrs[:, 2:]) * 0.5
+        order, starts = str_groups(centres, chunk_size)
+        boxes = nib_boxes(mbrs, radii)[order]
+        heads = starts[:-1]
+        chunk_boxes = np.column_stack(
+            (
+                np.minimum.reduceat(boxes[:, 0], heads),
+                np.minimum.reduceat(boxes[:, 1], heads),
+                np.maximum.reduceat(boxes[:, 2], heads),
+                np.maximum.reduceat(boxes[:, 3], heads),
+            )
+        )
+        blocks = (order, starts, chunk_boxes)
+        table.classify_blocks[chunk_size] = blocks
+    return blocks
 
 
 def classify_table_chunks(
@@ -170,28 +248,52 @@ def classify_table_chunks(
     cand_xy: np.ndarray,
     chunk_size: int = CLASSIFY_CHUNK,
 ):
-    """Yield ``(start, stop, ia, band)`` over a table's columnar arrays.
+    """Yield ``(rows, cols, ia, band)`` over a table's STR chunks.
 
-    The columnar counterpart of :func:`classify_chunks`: reads the
-    table-cached MBR/radius arrays directly (no per-query rebuild from
-    ``ObjectEntry`` lists, and no entry materialisation on tables
-    attached from shared memory).  Chunk ``[start, stop)`` indexes
-    entry order; the boolean matrices are bit-identical to the legacy
-    path's.
+    ``rows`` are the chunk's table rows (entry order indexes, every row
+    yielded exactly once over the whole scan), ``cols`` the ascending
+    indexes of the candidates inside the chunk's NIB box, and
+    ``ia``/``band`` the ``(rows.size, cols.size)`` matrices of
+    :func:`classify_span` on that block.  Every pair not in a block is
+    NIB-pruned (:func:`nib_boxes`), so scattering the blocks into
+    ``(live_count, m)`` matrices gives exactly the dense
+    :func:`classify_span` result.  Reads only the table-cached columnar
+    arrays, so tables attached from shared memory never build entries.
     """
     _check_chunk_size(chunk_size)
     mbrs, radii = table.mbr_radius_arrays()
-    count = mbrs.shape[0]
+    by_x = np.argsort(cand_xy[:, 0], kind="stable")
+    xs = cand_xy[by_x, 0]
+    ys = cand_xy[by_x, 1]
 
     def gen():
-        for start in range(0, count, chunk_size):
-            stop = min(start + chunk_size, count)
-            ia, band = classify_span(
-                mbrs[start:stop], radii[start:stop], cand_xy
-            )
-            yield start, stop, ia, band
+        order, starts, boxes = _table_blocks(table, chunk_size)
+        lo = np.searchsorted(xs, boxes[:, 0], side="left")
+        hi = np.searchsorted(xs, boxes[:, 2], side="right")
+        for b in range(boxes.shape[0]):
+            y = ys[lo[b] : hi[b]]
+            inside = (y >= boxes[b, 1]) & (y <= boxes[b, 3])
+            cols = np.sort(by_x[lo[b] : hi[b]][inside])
+            rows = order[starts[b] : starts[b + 1]]
+            ia, band = classify_span(mbrs[rows], radii[rows], cand_xy[cols])
+            yield rows, cols, ia, band
 
     return gen()
+
+
+def band_by_row(rows: np.ndarray, cols: np.ndarray, band: np.ndarray):
+    """Yield ``(row, maybe)`` for each row of a block with band pairs.
+
+    ``row`` is the table row and ``maybe`` its band candidates in
+    ascending order — one object's validation work, as PIN and its
+    variants consume it from :func:`classify_table_chunks` blocks.
+    """
+    band_rows, band_cols = np.nonzero(band)
+    starts = np.flatnonzero(np.diff(band_rows, prepend=-1))
+    for i, maybe in zip(
+        band_rows[starts].tolist(), np.split(band_cols, starts[1:])
+    ):
+        yield int(rows[i]), cols[maybe]
 
 
 def classify_candidates(
@@ -202,37 +304,25 @@ def classify_candidates(
     """Split the candidate set for one object entry.
 
     ``cand_xy`` is the full ``(m, 2)`` candidate coordinate array whose
-    row index is the candidate id.  When ``rtree`` is ``None`` the NIB
-    box filter falls back to a vectorised scan (used by ablations).
+    row index is the candidate id.  The R-tree returns the candidates
+    inside the entry's padded NIB box (:func:`nib_boxes`) and
+    :func:`classify_span` decides them, so this path splits exactly
+    like the scan.  When ``rtree`` is ``None`` every candidate goes
+    through the kernel (used by ablations).
     """
     m = cand_xy.shape[0]
-    bbox = entry.nib_bbox
-    if rtree is not None:
-        ids = np.asarray(rtree.query_rect(bbox), dtype=int)
+    mbrs = np.array([entry.mbr.as_tuple()], dtype=np.float64)
+    radii = np.array([entry.radius], dtype=np.float64)
+    if rtree is None:
+        ids = np.arange(m)
     else:
-        inside = (
-            (cand_xy[:, 0] >= bbox.min_x)
-            & (cand_xy[:, 0] <= bbox.max_x)
-            & (cand_xy[:, 1] >= bbox.min_y)
-            & (cand_xy[:, 1] <= bbox.max_y)
-        )
-        ids = np.nonzero(inside)[0]
-    if ids.size == 0:
-        return PruningOutcome(
-            certain=np.empty(0, dtype=int),
-            maybe=np.empty(0, dtype=int),
-            pruned_nib=m,
-        )
-    sub = cand_xy[ids]
-    radius = entry.radius
-    max_d = entry.mbr.max_dist_many(sub)
-    min_d = entry.mbr.min_dist_many(sub)
-    ia_mask = max_d <= radius
-    out_mask = min_d > radius
-    maybe_mask = ~(ia_mask | out_mask)
-    pruned_nib = (m - ids.size) + int(out_mask.sum())
+        box = MBR(*nib_boxes(mbrs, radii)[0].tolist())
+        ids = np.asarray(rtree.query_rect(box), dtype=int)
+    ia, band = classify_span(mbrs, radii, cand_xy[ids])
+    certain = ids[ia[0]]
+    maybe = ids[band[0]]
     return PruningOutcome(
-        certain=ids[ia_mask],
-        maybe=ids[maybe_mask],
-        pruned_nib=pruned_nib,
+        certain=certain,
+        maybe=maybe,
+        pruned_nib=m - certain.size - maybe.size,
     )

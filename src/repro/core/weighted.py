@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.base import LocationSelector, candidates_to_array
 from repro.core.influence import batch_log_non_influence, influence_threshold_log
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import classify_chunks
+from repro.core.pruning import band_by_row, classify_table_chunks
 from repro.core.result import Instrumentation, LSResult
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -74,29 +74,25 @@ class WeightedPrimeLS(LocationSelector):
         counters.pairs_total = table.live_count * m
         log_threshold = influence_threshold_log(tau)
         influence = np.zeros(m, dtype=float)
+        columns = table.to_columnar()
+        weights = np.array(
+            [weight_by_id[int(oid)] for oid in columns.object_ids],
+            dtype=float,
+        )
 
-        for chunk, ia, band in classify_chunks(table.entries, cand_xy):
-            chunk_weights = np.array(
-                [weight_by_id[e.obj.object_id] for e in chunk]
-            )
+        for rows, cols, ia, band in classify_table_chunks(table, cand_xy):
             ia_count = int(np.count_nonzero(ia))
             band_count = int(np.count_nonzero(band))
             counters.pairs_pruned_ia += ia_count
-            counters.pairs_pruned_nib += len(chunk) * m - ia_count - band_count
-            influence += chunk_weights @ ia
-            rows, cols = np.nonzero(band)
-            boundaries = np.searchsorted(rows, np.arange(len(chunk) + 1))
-            for i, entry in enumerate(chunk):
-                maybe = cols[boundaries[i] : boundaries[i + 1]]
-                if not maybe.size:
-                    continue
-                logs = batch_log_non_influence(
-                    pf, entry.obj.positions, cand_xy[maybe]
-                )
+            counters.pairs_pruned_nib += rows.size * m - ia_count - band_count
+            influence[cols] += weights[rows] @ ia
+            for row, maybe in band_by_row(rows, cols, band):
+                positions = columns.object_positions(row)
+                logs = batch_log_non_influence(pf, positions, cand_xy[maybe])
                 influenced = logs <= log_threshold
-                influence[maybe[influenced]] += chunk_weights[i]
+                influence[maybe[influenced]] += weights[row]
                 counters.pairs_validated += maybe.size
-                n = entry.obj.n_positions
+                n = positions.shape[0]
                 counters.positions_total += n * maybe.size
                 counters.positions_evaluated += n * maybe.size
 

@@ -22,6 +22,33 @@ import numpy as np
 from repro.geo.mbr import MBR
 
 
+def str_groups(xy: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort-Tile-Recursive grouping of ``k`` points into runs of ``cap``.
+
+    Sorts by x, slices the order into ``ceil(sqrt(ceil(k / cap)))``
+    vertical strips, sorts each strip by y and cuts it into runs of at
+    most ``cap`` points.  Returns ``(order, starts)``: ``order`` is a
+    permutation of ``range(k)`` and group ``g`` is
+    ``order[starts[g]:starts[g + 1]]``.  The groups are the leaves of
+    :meth:`RTree.bulk_load` and the object chunks of the blocked IA/NIB
+    scan (:func:`repro.core.pruning.classify_table_chunks`).
+    """
+    k = xy.shape[0]
+    order = np.argsort(xy[:, 0], kind="stable")
+    starts = [0]
+    if k:
+        strip_count = max(1, math.ceil(math.sqrt(math.ceil(k / cap))))
+        strip_size = math.ceil(k / strip_count)
+        for s in range(0, k, strip_size):
+            strip = order[s : s + strip_size]
+            order[s : s + strip_size] = strip[
+                np.argsort(xy[strip, 1], kind="stable")
+            ]
+            starts.extend(range(s + cap, s + strip.size, cap))
+            starts.append(s + strip.size)
+    return order, np.array(starts, dtype=np.intp)
+
+
 @dataclass
 class IndexStats:
     """Node/leaf access counters, reset with :meth:`reset`."""
@@ -96,26 +123,18 @@ class RTree:
         if k == 0:
             return tree
         cap = max_entries
-        # STR: sort by x, slice into vertical strips, sort strips by y.
-        order = np.argsort(xy[:, 0], kind="stable")
-        n_leaves = math.ceil(k / cap)
-        strip_count = max(1, math.ceil(math.sqrt(n_leaves)))
-        strip_size = math.ceil(k / strip_count)
+        order, starts = str_groups(xy, cap)
         leaves: list[_Node] = []
-        for s in range(0, k, strip_size):
-            strip = order[s : s + strip_size]
-            strip = strip[np.argsort(xy[strip, 1], kind="stable")]
-            for t in range(0, len(strip), cap):
-                chunk = strip[t : t + cap]
-                leaf = _Node(
-                    is_leaf=True,
-                    entries=[
-                        (int(ids[i]), float(xy[i, 0]), float(xy[i, 1]))
-                        for i in chunk
-                    ],
-                )
-                leaf.recompute_mbr()
-                leaves.append(leaf)
+        for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+            leaf = _Node(
+                is_leaf=True,
+                entries=[
+                    (int(ids[i]), float(xy[i, 0]), float(xy[i, 1]))
+                    for i in order[lo:hi]
+                ],
+            )
+            leaf.recompute_mbr()
+            leaves.append(leaf)
         # Pack upper levels until a single root remains.
         level = leaves
         while len(level) > 1:

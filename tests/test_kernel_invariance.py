@@ -16,7 +16,7 @@ from repro.core.influence import (
 from repro.core.naive import NaiveAlgorithm
 from repro.core.pinocchio import Pinocchio
 from repro.core.pinocchio_vo import PinocchioVO
-from repro.core.pruning import classify_chunks
+from repro.core.pruning import classify_span, classify_table_chunks
 from repro.core.object_table import ObjectTable
 from repro.prob import PowerLawPF
 
@@ -67,18 +67,17 @@ class TestChunkInvariance:
         objects, candidates = instance
         cand_xy = np.array([(c.x, c.y) for c in candidates])
         table = ObjectTable(objects, PF, 0.7)
-        base_ia, base_band = [], []
-        for __, ia, band in classify_chunks(table.entries, cand_xy):
-            base_ia.append(ia)
-            base_band.append(band)
-        got_ia, got_band = [], []
-        for __, ia, band in classify_chunks(
-            table.entries, cand_xy, chunk_size=chunk_size
+        mbrs, radii = table.mbr_radius_arrays()
+        base_ia, base_band = classify_span(mbrs, radii, cand_xy)
+        got_ia = np.zeros_like(base_ia)
+        got_band = np.zeros_like(base_band)
+        for rows, cols, ia, band in classify_table_chunks(
+            table, cand_xy, chunk_size=chunk_size
         ):
-            got_ia.append(ia)
-            got_band.append(band)
-        np.testing.assert_array_equal(np.vstack(got_ia), np.vstack(base_ia))
-        np.testing.assert_array_equal(np.vstack(got_band), np.vstack(base_band))
+            got_ia[np.ix_(rows, cols)] = ia
+            got_band[np.ix_(rows, cols)] = band
+        np.testing.assert_array_equal(got_ia, base_ia)
+        np.testing.assert_array_equal(got_band, base_band)
 
     @pytest.mark.parametrize("batch", [1, 5, 64, 100_000])
     def test_pinvo_batch_objects(self, instance, batch):
