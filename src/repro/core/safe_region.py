@@ -31,10 +31,19 @@ A band candidate forces ``slack = 0`` — its exact verdict depends on
 the actual positions, so any position change must revalidate it, and
 ``covers`` (strict inequality) then always reports a miss.
 
-Everything here is pure geometry over ``float64`` and is shared by
-:class:`repro.core.streaming.SlidingWindowPrimeLS`,
-:class:`repro.core.incremental.IncrementalPrimeLS`, and the serving
-layer's :class:`repro.engine.subscriptions.SubscriptionEngine`.
+Two forms share this geometry.  The serving layer's
+:class:`repro.engine.subscriptions.SubscriptionEngine` decides its
+pairs with the guarded tests of the one-shot kernel
+:func:`repro.core.pruning.classify_span` (the kernel itself when a
+subscription scores the fleet, :func:`guarded_split` when a crossing
+recomputes one object) and measures its margins to those guarded
+boundaries (:func:`split_margins`, :func:`margins_span`), so a
+maintained verdict is always one the one-shot engine would also
+reach.  :func:`pair_side`,
+:func:`side_margins` and :class:`SafeRegion` are the unguarded
+``sqrt``-form sides used by
+:class:`repro.core.streaming.SlidingWindowPrimeLS` and
+:class:`repro.core.incremental.IncrementalPrimeLS`.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.pruning import CLASSIFY_GUARD
 from repro.geo.mbr import MBR
 
 #: pair sides; ``BAND`` means "exact validation required"
@@ -53,6 +63,12 @@ SIDE_BAND = 2
 #: ``sqrt(2)`` — the Lipschitz constant of minDist/maxDist under an
 #: L-infinity perturbation of the four MBR side coordinates
 _LIPSCHITZ = float(np.sqrt(2.0))
+
+#: the guarded boundaries of :func:`repro.core.pruning.classify_span`
+#: as distance ratios: a pair is IA only if ``maxDist <= r·sqrt(1 − g)``
+#: and NIB-pruned only if ``minDist > r·sqrt(1 + g)``
+_IA_RATIO = float(np.sqrt(1.0 - CLASSIFY_GUARD))
+_OUT_RATIO = float(np.sqrt(1.0 + CLASSIFY_GUARD))
 
 
 def pair_side(mbr: MBR, radius: float, cx: float, cy: float) -> int:
@@ -83,16 +99,70 @@ def side_margins(
     return margins
 
 
-def margins_span(
-    mbrs: np.ndarray, radii: np.ndarray, cand_xy: np.ndarray
+def guarded_split(
+    min_d: np.ndarray, max_d: np.ndarray, radius
+) -> tuple[np.ndarray, np.ndarray]:
+    """The guarded IA/band split of ``sqrt``-form min/max distances.
+
+    A pair is ``IA`` iff ``maxDist <= a·r`` and band iff not ``IA`` and
+    ``minDist <= b·r``, with ``a = sqrt(1 − g)`` and ``b = sqrt(1 + g)``
+    for the guard band ``g`` of :func:`repro.core.pruning.classify_span`.
+    These are the kernel's squared tests up to a few ulps of rounding,
+    far inside ``g``: a pair the two forms split differently sits on a
+    guarded boundary, where the verdict of either side is the exact
+    answer.
+    """
+    ia = max_d <= radius * _IA_RATIO
+    band = ~ia & (min_d <= radius * _OUT_RATIO)
+    return ia, band
+
+
+def split_margins(
+    min_d: np.ndarray,
+    max_d: np.ndarray,
+    radius,
+    ia: np.ndarray,
+    band: np.ndarray,
 ) -> np.ndarray:
-    """Vectorised ``(r, m)`` margin matrix for a block of objects.
+    """Distance-to-flip margins of a guarded IA/band split.
+
+    ``min_d``/``max_d`` are the pairs' min/max distances, ``radius``
+    broadcasts against them, and ``ia``/``band`` are the split the
+    caller acted on (:func:`repro.core.pruning.classify_span` or
+    :func:`guarded_split`).  The margins are measured to the guarded
+    boundaries (ratios ``a``, ``b`` as in :func:`guarded_split`):
+    ``IA`` pairs get ``a·r − maxDist``, NIB-pruned pairs
+    ``minDist / b − r`` and band pairs ``0``.
+
+    Say the MBR sides then move by at most ``d`` and the radius to
+    ``r'``, with ``sqrt(2)·d + |r' − r|`` under the margin.  An ``IA``
+    pair keeps ``maxDist' < a·r − |r' − r| <= a·r'``.  A pruned pair
+    keeps ``minDist' > minDist − margin + |r' − r|``, which is at least
+    ``b·(r + |r' − r|) >= b·r'`` because ``minDist / b >= r + |r' − r|``.
+    Either way the pair stays outside the guard band, so the verdict
+    the split proved still holds.  A margin measured to ``r`` itself
+    would let the pair drift into the band, where only exact
+    validation may decide it because ``r`` carries rounding.
+    """
+    margins = min_d / _OUT_RATIO - radius
+    np.subtract(radius * _IA_RATIO, max_d, out=margins, where=ia)
+    margins[band] = 0.0
+    return margins
+
+
+def margins_span(
+    mbrs: np.ndarray,
+    radii: np.ndarray,
+    cand_xy: np.ndarray,
+    ia: np.ndarray,
+    band: np.ndarray,
+) -> np.ndarray:
+    """Vectorised ``(r, m)`` :func:`split_margins` for a block of objects.
 
     ``mbrs`` is ``(r, 4)`` rows ``(min_x, min_y, max_x, max_y)``,
     ``radii`` ``(r,)`` and ``cand_xy`` ``(m, 2)`` — the same columnar
-    layout as :func:`repro.core.pruning.classify_span`, with the same
-    min/max distance expressions, so the margins agree bit-for-bit with
-    the classification the engine acted on.
+    layout as :func:`repro.core.pruning.classify_span` — and
+    ``ia``/``band`` are that kernel's ``(r, m)`` split of the block.
     """
     x = cand_xy[:, 0][None, :]
     y = cand_xy[:, 1][None, :]
@@ -106,13 +176,7 @@ def margins_span(
     dx = np.maximum(np.abs(x - min_x), np.abs(x - max_x))
     dy = np.maximum(np.abs(y - min_y), np.abs(y - max_y))
     max_d = np.sqrt(dx * dx + dy * dy)
-    r = radii[:, None]
-    ia = max_d <= r
-    out = min_d > r
-    margins = np.zeros_like(min_d)
-    np.subtract(min_d, r, out=margins, where=out)
-    np.subtract(r, max_d, out=margins, where=ia)
-    return margins
+    return split_margins(min_d, max_d, radii[:, None], ia, band)
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,8 +23,10 @@ The core is a **safe-region index** over the IA/NIB geometry
   a certain IA/OUT verdict, so the marks — and every subscription's
   influence table — are untouched by Lemmas 2-3,
 * only a **boundary crossing** recomputes, and then as one vectorised
-  min/max-distance pass over the group's candidate rows plus exact
-  validation of the (usually tiny) band.
+  min/max-distance pass over the group's candidate rows, split with
+  the one-shot kernel's guard band (a pair within rounding of
+  ``minMaxRadius`` is validated here too), plus exact validation of
+  the (usually tiny) band.
 
 Steady-state maintenance cost is therefore proportional to boundary
 *crossings*, not ``n_subscriptions × n_objects``.  Exactness is the
@@ -57,7 +59,11 @@ from repro.core.influence import influence_threshold_log, validate_pair
 from repro.core.minmax_radius import MinMaxRadiusCache
 from repro.core.pruning import classify_span
 from repro.core.result import Instrumentation
-from repro.core.safe_region import margins_span
+from repro.core.safe_region import (
+    guarded_split,
+    margins_span,
+    split_margins,
+)
 from repro.engine.admission import AdmissionController, SHED_POLICIES
 from repro.engine.faults import FaultInjector
 from repro.engine.metrics import MetricsRegistry
@@ -538,7 +544,7 @@ class SubscriptionEngine:
                 oid = self._slot_oid[int(live[a_idx[i]])]
                 self._mark(group, oid, sub.sub_id).add(int(j))
             new_min[a_idx] = margins_span(
-                a_mbrs, a_radii, cand_xy
+                a_mbrs, a_radii, cand_xy, ia, band
             ).min(axis=1)
         # Merge the new rows into every object's safe region.  The
         # cached slack was measured at the reference state; the part
@@ -869,9 +875,9 @@ class SubscriptionEngine:
             mbr = MBR(float(mb[0]), float(mb[1]), float(mb[2]), float(mb[3]))
             min_d = mbr.min_dist_many(group.row_xy)
             max_d = mbr.max_dist_many(group.row_xy)
-            ia = max_d <= radius
-            out = min_d > radius
-            band = ~(ia | out) & group.row_live
+            ia, band = guarded_split(min_d, max_d, radius)
+            margins = split_margins(min_d, max_d, radius, ia, band)
+            band &= group.row_live
             infl = ia & group.row_live
             if band.any():
                 positions = np.array(self._windows[oid], dtype=float)
@@ -886,9 +892,6 @@ class SubscriptionEngine:
                         kernel="vector", early_stop=True,
                     ):
                         infl[row] = True
-            margins = np.where(
-                out, min_d - radius, np.where(ia, radius - max_d, 0.0)
-            )
             margins[~group.row_live] = np.inf
             slack = float(margins.min())
             new_marks = {}

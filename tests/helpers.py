@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.minmax_radius import min_max_radius
 from repro.model import Candidate, MovingObject
+from repro.prob import (
+    ConcavePF,
+    ConvexPF,
+    ExponentialPF,
+    LinearPF,
+    LogsigPF,
+    PowerLawPF,
+)
 
 
 def make_objects(
@@ -32,3 +41,37 @@ def make_candidates(
         Candidate(j, float(x), float(y))
         for j, (x, y) in enumerate(rng.uniform(0.0, extent, size=(count, 2)))
     ]
+
+
+#: every shipped PF at its defaults, by name
+SHIPPED_PFS = {
+    "powerlaw": PowerLawPF(),
+    "exponential": ExponentialPF(),
+    "linear": LinearPF(),
+    "logsig": LogsigPF(),
+    "convex": ConvexPF(),
+    "concave": ConcavePF(),
+}
+
+
+def boundary_placements(pf, tau, count, seed):
+    """Objects of 1-5 identical positions in a 30 km square, each with
+    one candidate at exactly ``minMaxRadius`` in a random direction."""
+    rng = np.random.default_rng(seed)
+    objects, candidates = [], []
+    for n in rng.integers(1, 6, size=count).tolist():
+        radius = min_max_radius(pf, tau, n)
+        if radius is None:
+            continue
+        i = len(objects)
+        px, py = rng.uniform(0.0, 30.0, size=2)
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        objects.append(MovingObject(i, np.array([[px, py]] * n)))
+        candidates.append(
+            Candidate(
+                i,
+                float(px + radius * np.cos(theta)),
+                float(py + radius * np.sin(theta)),
+            )
+        )
+    return objects, candidates

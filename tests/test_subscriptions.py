@@ -15,9 +15,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.minmax_radius import min_max_radius
+from repro.core.naive import NaiveAlgorithm
+from repro.core.pruning import CLASSIFY_GUARD, classify_span
+from repro.core.safe_region import guarded_split, margins_span
 from repro.engine.faults import FaultInjector, FaultSpec
 from repro.engine.session import QueryEngine
 from repro.engine.subscriptions import (
@@ -29,6 +33,8 @@ from repro.engine.subscriptions import (
 )
 from repro.model import Candidate
 from repro.prob import LinearPF, PowerLawPF
+
+from tests.helpers import SHIPPED_PFS, boundary_placements
 
 
 def oracle_influences(engine, cand_pairs, tau, pf):
@@ -363,6 +369,10 @@ op = st.one_of(
 class TestBitIdentityProperty:
     @settings(max_examples=40, deadline=None)
     @given(ops=st.lists(op, min_size=1, max_size=25))
+    # one position at distance 2 has P = 0.9 / 3 = tau: exactly on the
+    # minMaxRadius boundary, where the crossing recompute must defer to
+    # exact validation like the one-shot kernel
+    @example(ops=[("subscribe", [(0.0, 0.0)], 0.3), ("ingest", 0, 0.0, 2.0)])
     def test_snapshots_match_fresh_one_shot(self, ops):
         pf = PowerLawPF(rho=0.9, lam=1.0)
         eng = SubscriptionEngine(window=3, default_pf=pf)
@@ -394,3 +404,84 @@ class TestBitIdentityProperty:
             assert snap.best_candidate.candidate_id == \
                 res.best_candidate.candidate_id
             assert snap.best_influence == res.best_influence
+
+
+#: (PF, tau) pairs of the boundary sweep under which some object lives
+BOUNDARY_CASES = [
+    (name, tau)
+    for name in sorted(SHIPPED_PFS)
+    for tau in (0.5, 0.7, 0.9)
+    if min_max_radius(SHIPPED_PFS[name], tau, 5) is not None
+]
+
+
+class TestRadiusBoundary:
+    """Regression: a candidate at exactly ``minMaxRadius`` is decided
+    like NA both when a crossing recomputes an object and when a new
+    subscription scores the fleet; deciding those pairs with unguarded
+    distance tests disagreed with the one-shot engine."""
+
+    @pytest.mark.parametrize("pf_name,tau", BOUNDARY_CASES)
+    def test_boundary_placements_agree_with_na(self, pf_name, tau):
+        pf = SHIPPED_PFS[pf_name]
+        objects, candidates = boundary_placements(pf, tau, 60, seed=23)
+        cands = [(c.x, c.y) for c in candidates]
+        want = NaiveAlgorithm().select(objects, candidates, pf, tau)
+        expected = tuple(want.influences[c.candidate_id] for c in candidates)
+        for subscribe_first in (True, False):
+            eng = SubscriptionEngine(window=5, default_pf=pf)
+            if subscribe_first:
+                sid = eng.subscribe(cands, tau=tau)
+            for obj in objects:
+                for x, y in obj.positions.tolist():
+                    eng.ingest(obj.object_id, x, y)
+            if not subscribe_first:
+                sid = eng.subscribe(cands, tau=tau)
+            assert eng.snapshot(sid).influences == expected, subscribe_first
+
+
+class TestSplitMargins:
+    """A deformation under a pair's margin keeps its guarded split, so a
+    safe-region hit never keeps a verdict the kernel would now send to
+    exact validation."""
+
+    def test_pairs_near_the_guard_keep_their_split(self):
+        rng = np.random.default_rng(5)
+        n = 20_000
+        radii = rng.uniform(0.5, 20.0, n)
+        # point objects a few guard widths either side of the boundary,
+        # one candidate at the origin
+        dist = radii * np.sqrt(
+            1.0 + rng.uniform(-4.0, 4.0, n) * CLASSIFY_GUARD
+        )
+        unit = rng.normal(size=(n, 2))
+        unit /= np.hypot(unit[:, 0], unit[:, 1])[:, None]
+        origin = np.zeros((1, 2))
+
+        def split(d, r):
+            points = unit * d[:, None]
+            mbrs = np.hstack([points, points])
+            ia, band = classify_span(mbrs, r, origin)
+            return mbrs, ia, band
+
+        mbrs, ia, band = split(dist, radii)
+        margin = margins_span(mbrs, radii, origin, ia, band)[:, 0]
+        # margins well above the kernel's rounding
+        keep = margin > 32 * np.finfo(np.float64).eps * radii
+        assert keep.sum() > n // 4
+        # the worst moves for the side: IA pairs move a quarter margin
+        # away while the radius shrinks by a quarter, pruned pairs the
+        # reverse; sqrt(2)/4 + 1/4 of the margin in all
+        step = np.where(ia[:, 0], 0.25, -0.25) * margin
+        _, ia2, band2 = split(dist + step, radii - step)
+        np.testing.assert_array_equal(ia2[keep], ia[keep])
+        np.testing.assert_array_equal(band2[keep], band[keep])
+        # a crossing splits sqrt-form distances the same way, off the
+        # guarded boundaries
+        for d, r, want_ia, want_band in (
+            (dist, radii, ia, band),
+            (dist + step, radii - step, ia2, band2),
+        ):
+            got_ia, got_band = guarded_split(d, d, r)
+            np.testing.assert_array_equal(got_ia[keep], want_ia[keep, 0])
+            np.testing.assert_array_equal(got_band[keep], want_band[keep, 0])
