@@ -1,6 +1,6 @@
 """Dynamic-scenario extensions (§7 future work): throughput benches.
 
-Measures the incremental index and the sliding-window index against
+Measures the subscription engine's incremental maintenance against
 from-scratch recomputation — the whole point of the §7 extension is
 that updates cost far less than a batch re-solve.
 """
@@ -8,9 +8,8 @@ that updates cost far less than a batch re-solve.
 import numpy as np
 import pytest
 
-from repro.core.incremental import IncrementalPrimeLS
 from repro.core.pinocchio_vo import PinocchioVO
-from repro.core.streaming import SlidingWindowPrimeLS
+from repro.engine import SubscriptionEngine
 from repro.experiments.datasets import timing_world
 from repro.prob import PowerLawPF
 
@@ -29,23 +28,29 @@ def workload():
     return ds, candidates
 
 
+def updates_of(obj):
+    """A whole object as one ingest batch of its positions."""
+    return [(obj.object_id, x, y) for x, y in obj.positions.tolist()]
+
+
 def test_incremental_object_churn_vs_recompute(benchmark, record, workload):
     ds, candidates = workload
-    index = IncrementalPrimeLS(PF, TAU)
+    # the window holds the longest object, so no position is evicted
+    window = max(obj.n_positions for obj in ds.objects)
+    engine = SubscriptionEngine(window=window, default_pf=PF)
     for obj in ds.objects:
-        index.add_object(obj)
-    for cand in candidates:
-        index.add_candidate(cand)
+        engine.ingest_batch(updates_of(obj))
+    sid = engine.subscribe(candidates, tau=TAU)
     churn = ds.objects[:20]
 
     def one_churn_cycle():
         for obj in churn:
-            index.remove_object(obj.object_id)
+            engine.forget_object(obj.object_id)
         for obj in churn:
-            index.add_object(obj)
-        return index.optimal_location()
+            engine.ingest_batch(updates_of(obj))
+        return engine.snapshot(sid).best_influence
 
-    __, influence = run_once(benchmark, one_churn_cycle)
+    influence = run_once(benchmark, one_churn_cycle)
     batch = PinocchioVO().select(ds.objects, candidates, PF, TAU)
     assert influence == batch.best_influence
     record(
@@ -57,9 +62,8 @@ def test_incremental_object_churn_vs_recompute(benchmark, record, workload):
 
 def test_sliding_window_stream_throughput(benchmark, record, workload):
     ds, candidates = workload
-    sw = SlidingWindowPrimeLS(PF, TAU, window=24)
-    for cand in candidates:
-        sw.add_candidate(cand)
+    engine = SubscriptionEngine(window=24, default_pf=PF)
+    sid = engine.subscribe(candidates, tau=TAU)
     rng = np.random.default_rng(3)
     events = [
         (int(rng.integers(0, 100)), *rng.uniform([0, 0], [39.22, 27.03]))
@@ -68,10 +72,10 @@ def test_sliding_window_stream_throughput(benchmark, record, workload):
 
     def replay():
         for oid, x, y in events:
-            sw.observe(oid, x, y)
-        return sw.optimal_location()
+            engine.ingest(oid, x, y)
+        return engine.snapshot(sid).best_influence
 
-    __, influence = run_once(benchmark, replay)
+    influence = run_once(benchmark, replay)
     assert 0 <= influence <= 100
     record(
         "dynamic_streaming",

@@ -25,13 +25,11 @@ from typing import Sequence
 from repro.baselines import BRNNStar, RangeBaseline
 from repro.core import (
     GridPartitionLS,
-    IncrementalPrimeLS,
     LSResult,
     NaiveAlgorithm,
     Pinocchio,
     PinocchioVO,
     PinocchioVOStar,
-    SlidingWindowPrimeLS,
     TopKPrimeLS,
     min_max_radius,
     top_k_locations,
@@ -57,8 +55,6 @@ __all__ = [
     "PinocchioVOStar",
     "BRNNStar",
     "RangeBaseline",
-    "IncrementalPrimeLS",
-    "SlidingWindowPrimeLS",
     "TopKPrimeLS",
     "top_k_locations",
     "PowerLawPF",

@@ -15,12 +15,11 @@ Contents map directly onto the paper:
 * :mod:`repro.core.pinocchio` — Algorithm 2 (PINOCCHIO),
 * :mod:`repro.core.pinocchio_vo` — Algorithm 3 (PINOCCHIO-VO) and the
   PIN-VO* variant without the pruning phase,
-* :mod:`repro.core.incremental` — the incremental-maintenance
-  extension sketched as future work in §7,
-* :mod:`repro.core.safe_region` — per-object safe regions over the
+* :mod:`repro.core.safe_region` — safe-region margins over the
   IA/NIB geometry: the deformation budget within which a position
-  update cannot flip any candidate's verdict (shared by the
-  incremental, streaming, and subscription engines),
+  update cannot flip any candidate's verdict (the §7 dynamic
+  scenarios are served by
+  :class:`repro.engine.subscriptions.SubscriptionEngine`),
 * :mod:`repro.core.sketch` — bottom-k influence sketches: sublinear
   approximate ``inf(c)`` with a provable error bound (the serving
   engine's approximate tier).
@@ -33,21 +32,12 @@ from repro.core.influence import (
     validate_pair,
 )
 from repro.core.object_table import ObjectEntry, ObjectTable
-from repro.core.safe_region import (
-    SIDE_BAND,
-    SIDE_IA,
-    SIDE_OUT,
-    SafeRegion,
-    margins_span,
-    pair_side,
-)
+from repro.core.safe_region import margins_span
 from repro.core.result import Instrumentation, LSResult
 from repro.core.naive import NaiveAlgorithm
 from repro.core.pinocchio import Pinocchio
 from repro.core.pinocchio_vo import PinocchioVO, PinocchioVOStar
-from repro.core.incremental import IncrementalPrimeLS
 from repro.core.topk import TopKPrimeLS, top_k_locations
-from repro.core.streaming import SlidingWindowPrimeLS
 from repro.core.grid_ls import GridPartitionLS
 from repro.core.competitive import CompetitivePrimeLS
 from repro.core.weighted import WeightedPrimeLS
@@ -76,7 +66,6 @@ __all__ = [
     "CompetitivePrimeLS",
     "TopKPrimeLS",
     "top_k_locations",
-    "SlidingWindowPrimeLS",
     "MinMaxRadiusCache",
     "min_max_radius",
     "cumulative_probability",
@@ -84,19 +73,13 @@ __all__ = [
     "validate_pair",
     "ObjectEntry",
     "ObjectTable",
-    "SafeRegion",
     "margins_span",
-    "pair_side",
-    "SIDE_OUT",
-    "SIDE_IA",
-    "SIDE_BAND",
     "Instrumentation",
     "LSResult",
     "NaiveAlgorithm",
     "Pinocchio",
     "PinocchioVO",
     "PinocchioVOStar",
-    "IncrementalPrimeLS",
     "InfluenceSketch",
     "InfluenceEstimate",
     "DEFAULT_SKETCH_K",

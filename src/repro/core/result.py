@@ -70,7 +70,7 @@ class Instrumentation:
     #: serving engine's bounded LRU caches; 0 outside the engine)
     cache_evictions: int = 0
     #: position updates absorbed by a safe region with zero candidate
-    #: work (incremental/streaming maintenance only; 0 for one-shot)
+    #: work (subscription maintenance only; 0 for one-shot)
     safe_region_hits: int = 0
 
     def merge(self, other: "Instrumentation") -> None:

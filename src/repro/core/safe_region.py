@@ -5,7 +5,7 @@ the object's activity MBR ``M`` and its ``minMaxRadius`` ``r`` alone:
 
 * ``IA``   — ``maxDist(c, M) <= r``: certainly influenced,
 * ``OUT``  — ``minDist(c, M) >  r``: certainly not influenced,
-* ``BAND`` — neither bound resolves: exact validation required.
+* band    — neither bound resolves: exact validation required.
 
 A position update changes ``(M, r)``; the *safe region* of an object is
 the set of ``(M', r')`` for which no candidate's side can change and no
@@ -18,85 +18,40 @@ maintenance cost scales with boundary *crossings*, not with
 ``n_candidates × n_updates``.
 
 The region is kept as a single scalar **slack**: the smallest margin,
-over all candidates, between the candidate's min/max distance and the
-radius.  Both ``minDist`` and ``maxDist`` are 1-Lipschitz in each MBR
+over all candidates, between the candidate's min/max distance and its
+boundary.  Both ``minDist`` and ``maxDist`` are 1-Lipschitz in each MBR
 side coordinate, so if every side moves by at most ``d`` (L-infinity on
 the four coordinates) the distances move by at most ``d * sqrt(2)``;
-adding the radius change gives the deformation bound checked by
-:meth:`SafeRegion.covers`:
+adding the radius change gives the deformation bound
 
     sqrt(2) * max_side_delta + |r' - r|  <  slack   =>   no side flips.
 
 A band candidate forces ``slack = 0`` — its exact verdict depends on
 the actual positions, so any position change must revalidate it, and
-``covers`` (strict inequality) then always reports a miss.
+the strict inequality then always reports a miss.
 
-Two forms share this geometry.  The serving layer's
-:class:`repro.engine.subscriptions.SubscriptionEngine` decides its
-pairs with the guarded tests of the one-shot kernel
+The pairs are decided with the guarded tests of the one-shot kernel
 :func:`repro.core.pruning.classify_span` (the kernel itself when a
 subscription scores the fleet, :func:`guarded_split` when a crossing
-recomputes one object) and measures its margins to those guarded
+recomputes one object) and the margins are measured to those guarded
 boundaries (:func:`split_margins`, :func:`margins_span`), so a
-maintained verdict is always one the one-shot engine would also
-reach.  :func:`pair_side`,
-:func:`side_margins` and :class:`SafeRegion` are the unguarded
-``sqrt``-form sides used by
-:class:`repro.core.streaming.SlidingWindowPrimeLS` and
-:class:`repro.core.incremental.IncrementalPrimeLS`.
+maintained verdict is always one the one-shot engine would also reach.
+The one maintainer built on these functions is
+:class:`repro.engine.subscriptions.SubscriptionEngine`, which keeps the
+slacks in columnar per-object arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.pruning import CLASSIFY_GUARD
-from repro.geo.mbr import MBR
-
-#: pair sides; ``BAND`` means "exact validation required"
-SIDE_OUT = 0
-SIDE_IA = 1
-SIDE_BAND = 2
-
-#: ``sqrt(2)`` — the Lipschitz constant of minDist/maxDist under an
-#: L-infinity perturbation of the four MBR side coordinates
-_LIPSCHITZ = float(np.sqrt(2.0))
 
 #: the guarded boundaries of :func:`repro.core.pruning.classify_span`
 #: as distance ratios: a pair is IA only if ``maxDist <= r·sqrt(1 − g)``
 #: and NIB-pruned only if ``minDist > r·sqrt(1 + g)``
 _IA_RATIO = float(np.sqrt(1.0 - CLASSIFY_GUARD))
 _OUT_RATIO = float(np.sqrt(1.0 + CLASSIFY_GUARD))
-
-
-def pair_side(mbr: MBR, radius: float, cx: float, cy: float) -> int:
-    """The IA/NIB side of one candidate point for one object state."""
-    if mbr.max_dist(cx, cy) <= radius:
-        return SIDE_IA
-    if mbr.min_dist(cx, cy) > radius:
-        return SIDE_OUT
-    return SIDE_BAND
-
-
-def side_margins(
-    min_d: np.ndarray, max_d: np.ndarray, radius: float
-) -> np.ndarray:
-    """Per-candidate distance-to-flip margins from min/max distances.
-
-    ``OUT`` candidates get ``minDist - r`` (how far the boundary can
-    approach before the NIB proof dies), ``IA`` candidates get
-    ``r - maxDist``, and band candidates get ``0`` — they have no safe
-    slack at all.  All inputs/outputs are plain float64 arrays so the
-    caller can batch objects however it likes.
-    """
-    ia = max_d <= radius
-    out = min_d > radius
-    margins = np.zeros_like(min_d)
-    np.subtract(min_d, radius, out=margins, where=out)
-    np.subtract(radius, max_d, out=margins, where=ia)
-    return margins
 
 
 def guarded_split(
@@ -177,65 +132,3 @@ def margins_span(
     dy = np.maximum(np.abs(y - min_y), np.abs(y - max_y))
     max_d = np.sqrt(dx * dx + dy * dy)
     return split_margins(min_d, max_d, radii[:, None], ia, band)
-
-
-@dataclass(frozen=True, slots=True)
-class SafeRegion:
-    """One object's safe region: the reference state plus its slack.
-
-    ``slack`` is the minimum :func:`side_margins` value over every
-    candidate the owner tracks (``inf`` when there are none).  The
-    region is *sound but not tight*: :meth:`covers` returning ``True``
-    guarantees no candidate's verdict changed; returning ``False``
-    only means the caller must re-examine candidates.
-    """
-
-    min_x: float
-    min_y: float
-    max_x: float
-    max_y: float
-    radius: float
-    slack: float
-
-    @classmethod
-    def from_margins(
-        cls, mbr: MBR, radius: float, margins: np.ndarray
-    ) -> "SafeRegion":
-        """Build the region for ``(mbr, radius)`` from its margin row."""
-        slack = float(margins.min()) if margins.size else float("inf")
-        return cls(
-            mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y, radius, slack
-        )
-
-    @classmethod
-    def compute(
-        cls, mbr: MBR, radius: float, cand_xy: np.ndarray
-    ) -> "SafeRegion":
-        """Build the region for ``(mbr, radius)`` against ``cand_xy``."""
-        if cand_xy.size == 0:
-            return cls(
-                mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y,
-                radius, float("inf"),
-            )
-        min_d = mbr.min_dist_many(cand_xy)
-        max_d = mbr.max_dist_many(cand_xy)
-        return cls.from_margins(
-            mbr, radius, side_margins(min_d, max_d, radius)
-        )
-
-    def covers(self, mbr: MBR, radius: float) -> bool:
-        """``True`` iff moving to ``(mbr, radius)`` cannot flip any side.
-
-        Strict inequality on purpose: a zero slack (some candidate in
-        the band, or a candidate sitting exactly on a boundary) is
-        never safe, because band verdicts depend on the positions
-        themselves, not only on the MBR.
-        """
-        delta = max(
-            abs(mbr.min_x - self.min_x),
-            abs(mbr.min_y - self.min_y),
-            abs(mbr.max_x - self.max_x),
-            abs(mbr.max_y - self.max_y),
-        )
-        deformation = _LIPSCHITZ * delta + abs(radius - self.radius)
-        return deformation < self.slack

@@ -14,10 +14,10 @@ The core is a **safe-region index** over the IA/NIB geometry
 * subscriptions sharing ``(PF, τ)`` form a *group*; the group holds
   every subscription's candidates as rows of one columnar coordinate
   array (the same layout as the engine's one-shot classify path),
-* per (object, group) we cache a :class:`~repro.core.safe_region.SafeRegion`
-  — the reference MBR/radius the influence marks were computed at,
-  plus the smallest margin (*slack*) to any candidate's IA/NIB
-  boundary, held in flat per-slot arrays,
+* per (object, group) we cache a safe region — the reference
+  MBR/radius the influence marks were computed at, plus the smallest
+  margin (*slack*) to any candidate's guarded IA/NIB boundary, held in
+  flat per-slot arrays,
 * an update whose deformation stays under the slack is absorbed with
   **zero candidate work** (a *safe-region hit*): every candidate keeps
   a certain IA/OUT verdict, so the marks — and every subscription's
@@ -193,7 +193,7 @@ class _Group:
     ``row_xy`` (dead rows from unsubscribes stay as tombstones so row
     indexes remain stable); ``ref_mbrs``/``ref_radii``/``slacks`` are
     indexed by the engine's object *slot* and hold each object's cached
-    :class:`SafeRegion` in columnar form.  ``marks[oid][sub_id]`` is
+    safe region in columnar form.  ``marks[oid][sub_id]`` is
     the set of local candidate indexes the object currently counts
     toward — sparse, because most objects influence nothing.
     """
@@ -254,12 +254,12 @@ class SubscriptionEngine:
     """Incrementally maintained standing PRIME-LS queries.
 
     Position updates enter through :meth:`ingest` / :meth:`ingest_batch`
-    (each object keeps its most recent ``window`` positions — the
-    sliding-window fleet model of
-    :class:`~repro.core.streaming.SlidingWindowPrimeLS`); standing
-    queries enter through :meth:`subscribe`.  All public methods are
-    thread-safe behind one engine lock (change callbacks fire *outside*
-    the lock, so a callback may call back into the engine).
+    (each object keeps its most recent ``window`` positions, so a
+    whole object is one :meth:`ingest_batch` of its positions when
+    ``window`` is at least its length); standing queries enter through
+    :meth:`subscribe`.  All public methods are thread-safe behind one
+    engine lock (change callbacks fire *outside* the lock, so a
+    callback may call back into the engine).
 
     ``max_updates_per_round`` bounds one :meth:`ingest_batch` round;
     the excess is shed with typed :class:`UpdateShed` outcomes under
@@ -531,7 +531,6 @@ class SubscriptionEngine:
                 slot = int(live[a_idx[i]])
                 oid = self._slot_oid[slot]
                 positions = np.array(self._windows[oid], dtype=float)
-                self.counters.pairs_validated += 1
                 if validate_pair(
                     group.pf, positions,
                     float(cand_xy[j, 0]), float(cand_xy[j, 1]),
@@ -686,26 +685,7 @@ class SubscriptionEngine:
             touched = self._apply_updates(admitted)
             report.applied = len(admitted)
             changed_subs = self._refresh_touched(touched, report, span)
-            for sub_id in sorted(changed_subs):
-                entry = self._subs.get(sub_id)
-                if entry is None:
-                    continue
-                _, sub = entry
-                sub.version += 1
-                snap = self._snapshot_locked(sub)
-                if len(self._events) == self._events.maxlen:
-                    self.events_dropped += 1
-                self._events.append(SubscriptionEvent(
-                    subscription_id=sub_id,
-                    version=sub.version,
-                    best_candidate_id=snap.best_candidate.candidate_id,
-                    best_influence=snap.best_influence,
-                ))
-                self.notifications += 1
-                self._m_notifications.inc()
-                if sub.callback is not None:
-                    notify.append((sub.callback, snap))
-                report.changed.append(sub_id)
+            report.changed = self._bump_versions(changed_subs, notify)
             self.updates_applied += report.applied
             self.updates_shed += len(report.shed)
             self._m_updates.inc(report.applied, result="applied")
@@ -760,7 +740,12 @@ class SubscriptionEngine:
         return list(touched)
 
     def forget_object(self, object_id: int) -> None:
-        """Drop an object, rolling back its contributions everywhere."""
+        """Drop an object, rolling back its contributions everywhere.
+
+        Subscriptions whose influence table changes get a version bump,
+        an event and their callback, exactly as after an ingest.
+        """
+        notify: list[tuple] = []
         with self._lock:
             if object_id not in self._windows:
                 raise KeyError(f"unknown object {object_id}")
@@ -771,9 +756,6 @@ class SubscriptionEngine:
                 group.ref_radii[slot] = np.nan
                 group.slacks[slot] = -np.inf
                 group.ref_mbrs[slot] = np.nan
-            for sub_id in sorted(changed):
-                _, sub = self._subs[sub_id]
-                sub.version += 1
             del self._windows[object_id]
             slot = self._slots.pop(object_id)
             self._slot_oid[slot] = -1
@@ -781,6 +763,40 @@ class SubscriptionEngine:
             self._counts[slot] = 0
             self._free_slots.append(slot)
             self._live_slots_cache = None
+            self._bump_versions(changed, notify)
+        for callback, snap in notify:
+            callback(snap)
+
+    def _bump_versions(self, changed, notify: list) -> list[int]:
+        """Announce a new version of every subscription in ``changed``.
+
+        Each bump queues one :class:`SubscriptionEvent` and counts one
+        notification; ``(callback, snapshot)`` pairs are appended to
+        ``notify`` for the caller to fire once the lock is released.
+        Returns the bumped subscription ids, ascending.
+        """
+        bumped = []
+        for sub_id in sorted(changed):
+            entry = self._subs.get(sub_id)
+            if entry is None:
+                continue
+            _, sub = entry
+            sub.version += 1
+            snap = self._snapshot_locked(sub)
+            if len(self._events) == self._events.maxlen:
+                self.events_dropped += 1
+            self._events.append(SubscriptionEvent(
+                subscription_id=sub_id,
+                version=sub.version,
+                best_candidate_id=snap.best_candidate.candidate_id,
+                best_influence=snap.best_influence,
+            ))
+            self.notifications += 1
+            self._m_notifications.inc()
+            if sub.callback is not None:
+                notify.append((sub.callback, snap))
+            bumped.append(sub_id)
+        return bumped
 
     def _clear_marks(self, group: _Group, oid: int) -> set[int]:
         """Roll back an object's influence marks in one group."""
@@ -883,7 +899,6 @@ class SubscriptionEngine:
                 positions = np.array(self._windows[oid], dtype=float)
                 for row in np.nonzero(band)[0]:
                     validations += 1
-                    self.counters.pairs_validated += 1
                     if validate_pair(
                         group.pf, positions,
                         float(group.row_xy[row, 0]),

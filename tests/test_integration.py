@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import ALGORITHMS, PowerLawPF, select_location
-from repro.core.incremental import IncrementalPrimeLS
+from repro.engine import SubscriptionEngine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
@@ -58,16 +58,23 @@ class TestEndToEnd:
 
     def test_incremental_replays_batch(self, demo_dataset, demo_candidates, pf):
         candidates, _ = demo_candidates
-        index = IncrementalPrimeLS(pf, 0.7)
-        for obj in demo_dataset.objects:
-            index.add_object(obj)
-        for cand in candidates:
-            index.add_candidate(cand)
-        batch = select_location(
-            demo_dataset.objects, candidates, pf=pf, tau=0.7, algorithm="NA"
+        objects = demo_dataset.objects
+        engine = SubscriptionEngine(
+            window=max(obj.n_positions for obj in objects), default_pf=pf
         )
-        _, influence = index.optimal_location()
-        assert influence == batch.best_influence
+        for obj in objects:
+            engine.ingest_batch(
+                [(obj.object_id, x, y) for x, y in obj.positions.tolist()]
+            )
+        sid = engine.subscribe(candidates, tau=0.7)
+        batch = select_location(
+            objects, candidates, pf=pf, tau=0.7, algorithm="NA"
+        )
+        snap = engine.snapshot(sid)
+        assert snap.influences == tuple(
+            batch.influences[j] for j in range(len(candidates))
+        )
+        assert snap.best_influence == batch.best_influence
 
     def test_influence_saturates_with_low_tau(self, demo_dataset, demo_candidates):
         candidates, _ = demo_candidates

@@ -12,6 +12,7 @@ update-storm faults, events, metrics, JSONL records).
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -166,6 +167,28 @@ class TestUnsubscribeAndForget:
         expected, _ = oracle_influences(eng, cands, 0.4, pf)
         assert snap.influences == expected
 
+    def test_window_eviction_keeps_last_positions(self, pf):
+        eng = SubscriptionEngine(window=3, default_pf=pf)
+        for i in range(10):
+            eng.ingest(0, float(i), 0.0)
+        [obj] = eng.fleet()
+        np.testing.assert_array_equal(obj.positions[:, 0], [7.0, 8.0, 9.0])
+        # A far visit spans the MBR over both candidates; once it is
+        # evicted the MBR shrinks to a point and the far candidate
+        # loses the object.
+        cands = [(0.0, 0.0), (300.0, 300.0)]
+        eng = SubscriptionEngine(window=2, default_pf=pf)
+        sid = eng.subscribe(cands, tau=0.6)
+        eng.ingest(0, 0.0, 0.0)
+        eng.ingest(0, 300.0, 300.0)
+        eng.ingest(0, 0.0, 0.0)         # far point still in the window
+        assert eng.snapshot(sid).influences == (1, 1)
+        eng.ingest(0, 0.0, 0.0)         # far point evicted
+        [obj] = eng.fleet()
+        np.testing.assert_array_equal(obj.positions, [[0.0, 0.0]] * 2)
+        expected, _ = oracle_influences(eng, cands, 0.6, pf)
+        assert eng.snapshot(sid).influences == expected == (1, 0)
+
     def test_slot_reuse_after_forget(self, pf, rng):
         eng = SubscriptionEngine(window=2, default_pf=pf)
         sid = eng.subscribe([(5.0, 5.0)], tau=0.3)
@@ -193,15 +216,21 @@ class TestSafeRegions:
 
     def test_crossing_light_workload_mostly_hits(self, pf, rng):
         eng = SubscriptionEngine(window=4, default_pf=pf)
-        eng.subscribe([(0.0, 0.0)], tau=0.5)
-        # Objects jitter in place, far from the candidate.
+        # Objects jitter in place, far from the first candidate and on
+        # top of the second.
         anchors = rng.uniform(200.0, 300.0, (10, 2))
+        cands = [(0.0, 0.0), tuple(map(float, anchors[0]))]
+        sid = eng.subscribe(cands, tau=0.5)
         for _ in range(30):
             for oid in range(10):
                 x, y = anchors[oid] + rng.normal(0, 0.01, 2)
                 eng.ingest(oid, float(x), float(y))
         stats = eng.stats()
         assert stats["safe_region_hits"] > stats["crossings"]
+        # the safe-region hits kept the table exact
+        expected, _ = oracle_influences(eng, cands, 0.5, pf)
+        assert eng.snapshot(sid).influences == expected
+        assert expected[1] >= 1
 
     def test_exact_ia_boundary_never_caches(self, pf):
         # maxDist == radius is IA by Lemma 2 (inclusive), but its
@@ -220,6 +249,23 @@ class TestSafeRegions:
         assert r2.safe_region_hits == 0
         assert r2.crossings == 1
         assert eng.snapshot(sid).influences == (1,)
+
+    @pytest.mark.parametrize("subscribe_first", [True, False])
+    def test_each_validation_counted_once(self, pf, subscribe_first):
+        # One pair at exactly the radius sits in the guard band and is
+        # validated once, by the crossing (ingest) or by the new
+        # subscription's scoring (subscribe).
+        from repro.core.minmax_radius import MinMaxRadiusCache
+
+        cands = [(float(MinMaxRadiusCache(pf, 0.5).radius(1)), 0.0)]
+        eng = SubscriptionEngine(window=1, default_pf=pf)
+        if subscribe_first:
+            eng.subscribe(cands, tau=0.5)
+        report = eng.ingest(7, 0.0, 0.0)
+        if not subscribe_first:
+            eng.subscribe(cands, tau=0.5)
+        assert report.validations == int(subscribe_first)
+        assert eng.counters.pairs_validated == 1
 
 
 class TestEventsAndCallbacks:
@@ -250,6 +296,42 @@ class TestEventsAndCallbacks:
         assert len(seen) == 1
         assert seen[0].subscription_id == sid
         assert seen[0].influences == (1,)
+
+    def test_forget_object_notifies(self, pf):
+        seen: list[SubscriptionSnapshot] = []
+        unlocked: list[bool] = []
+        eng = SubscriptionEngine(window=2, default_pf=pf)
+
+        def probe():
+            # succeeds only if the caller does not hold the engine lock
+            if eng._lock.acquire(timeout=2):
+                eng._lock.release()
+                unlocked.append(True)
+            else:
+                unlocked.append(False)
+
+        def callback(snap):
+            seen.append(snap)
+            thread = threading.Thread(target=probe)
+            thread.start()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+        sid = eng.subscribe([(0.0, 0.0)], tau=0.3, callback=callback)
+        eng.ingest(0, 0.0, 0.0)
+        assert [e.version for e in eng.drain_events()] == [2]
+        eng.forget_object(0)                # loses its only influence
+        snap = eng.snapshot(sid)
+        assert snap.version == 3
+        assert snap.influences == (0,)
+        events = eng.drain_events()
+        assert [(e.version, e.best_influence) for e in events] == [(3, 0)]
+        assert [s.version for s in seen] == [2, 3]
+        assert seen[-1].influences == (0,)
+        assert seen[-1].objects == 0
+        assert unlocked == [True, True]
+        assert eng.stats()["notifications"] == 2
+        assert "pinls_sub_notifications_total 2" in eng.metrics.render()
 
     def test_event_queue_bounded(self, pf):
         eng = SubscriptionEngine(window=1, default_pf=pf, max_events=3)
@@ -366,15 +448,26 @@ op = st.one_of(
 )
 
 
+#: the property's PFs: under ``LinearPF`` a one-position window is dead
+#: at tau 0.6 (cap 0.5) and a longer one alive, so objects cross
+#: between dead and alive as their windows fill or are forgotten
+PROPERTY_PFS = (PowerLawPF(rho=0.9, lam=1.0), LinearPF(rho=0.5, scale=10.0))
+
+
 class TestBitIdentityProperty:
-    @settings(max_examples=40, deadline=None)
-    @given(ops=st.lists(op, min_size=1, max_size=25))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=st.lists(op, min_size=1, max_size=25),
+        pf=st.sampled_from(PROPERTY_PFS),
+    )
     # one position at distance 2 has P = 0.9 / 3 = tau: exactly on the
     # minMaxRadius boundary, where the crossing recompute must defer to
     # exact validation like the one-shot kernel
-    @example(ops=[("subscribe", [(0.0, 0.0)], 0.3), ("ingest", 0, 0.0, 2.0)])
-    def test_snapshots_match_fresh_one_shot(self, ops):
-        pf = PowerLawPF(rho=0.9, lam=1.0)
+    @example(
+        ops=[("subscribe", [(0.0, 0.0)], 0.3), ("ingest", 0, 0.0, 2.0)],
+        pf=PROPERTY_PFS[0],
+    )
+    def test_snapshots_match_fresh_one_shot(self, ops, pf):
         eng = SubscriptionEngine(window=3, default_pf=pf)
         live: dict[int, tuple[list, float]] = {}
         for entry in ops:

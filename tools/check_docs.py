@@ -1,6 +1,6 @@
-"""Docs health checker: links, API coverage, metric-catalog coverage.
+"""Docs health checker: links, API coverage, metric catalog, code refs.
 
-Four checks, all cheap enough for every CI run:
+Five checks, all cheap enough for every CI run:
 
 1. every relative link in ``README.md`` and ``docs/**/*.md`` resolves
    to a file that exists (external ``http(s)``/``mailto`` links and
@@ -14,7 +14,11 @@ Four checks, all cheap enough for every CI run:
    land in the reference with the code that adds them;
 4. every ``pinls_*`` Prometheus series name that appears as a literal
    anywhere under ``src/`` is cataloged in ``docs/observability.md``
-   — the metric catalog must be the complete scrape surface.
+   — the metric catalog must be the complete scrape surface;
+5. every backticked ``repro.…`` dotted name in ``README.md`` and
+   ``docs/**/*.md`` (outside fenced code blocks) resolves: its longest
+   importable prefix imports and ``getattr`` finds the rest — a
+   deleted module, class or function must not live on in the docs.
 
 Exit status 0 when all pass, 1 with one line per problem otherwise.
 Run as ``PYTHONPATH=src python tools/check_docs.py`` from the repo
@@ -23,6 +27,7 @@ root (CI's "Docs health" step).
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import re
 import sys
@@ -36,8 +41,13 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"^\s*(```|~~~)")
 
 
-def iter_links(path: Path):
-    """Yield ``(line_number, target)`` for every markdown link in *path*."""
+def doc_files() -> list[Path]:
+    """``README.md`` plus every markdown file under ``docs/``."""
+    return [REPO / "README.md", *sorted((REPO / "docs").rglob("*.md"))]
+
+
+def iter_matches(path: Path, pattern: re.Pattern):
+    """Yield ``(line_number, group 1)`` per match outside fenced code."""
     in_fence = False
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if _FENCE.match(line):
@@ -45,16 +55,15 @@ def iter_links(path: Path):
             continue
         if in_fence:
             continue
-        for match in _LINK.finditer(line):
+        for match in pattern.finditer(line):
             yield lineno, match.group(1)
 
 
 def check_links() -> list[str]:
     """Return one problem string per broken relative link."""
     problems = []
-    files = [REPO / "README.md", *sorted((REPO / "docs").rglob("*.md"))]
-    for md in files:
-        for lineno, target in iter_links(md):
+    for md in doc_files():
+        for lineno, target in iter_matches(md, _LINK):
             if target.startswith(("http://", "https://", "mailto:")):
                 continue
             if target.startswith("#"):
@@ -146,6 +155,42 @@ def check_metric_catalog() -> list[str]:
     return problems
 
 
+# A code span opening with a dotted name in the package, e.g.
+# `repro.core.pruning.classify_span` or `repro.engine.IngestReport(...)`.
+_CODE_REF = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module or an attribute reachable from one."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_code_refs() -> list[str]:
+    """Return one problem string per backticked name that does not resolve."""
+    sys.path.insert(0, str(REPO / "src"))
+    problems = []
+    for md in doc_files():
+        for lineno, dotted in iter_matches(md, _CODE_REF):
+            if not resolves(dotted):
+                rel = md.relative_to(REPO)
+                problems.append(
+                    f"{rel}:{lineno}: code reference `{dotted}` "
+                    f"does not resolve"
+                )
+    return problems
+
+
 def main() -> int:
     """Run all checks; print problems; return a process exit code."""
     problems = (
@@ -153,6 +198,7 @@ def main() -> int:
         + check_api_coverage()
         + check_class_coverage()
         + check_metric_catalog()
+        + check_code_refs()
     )
     for problem in problems:
         print(problem)
