@@ -25,6 +25,13 @@ harness and ``serve-bench`` assert on.  The ``overload`` fault kind
 (:mod:`repro.engine.faults`) injects phantom in-flight load so all of
 this can be driven deterministically in tests and CI drills.
 
+Every caller admits the same way, through one
+:meth:`AdmissionController.admit_batch` round per unit of work: the
+engine once per ``query``/``query_batch`` call (a single query is a
+round of one), the HTTP front end once per tenant per request, and the
+subscription engine once per ingest round.  The caller releases the
+admitted slots when that work finishes.
+
 :class:`TenantAdmission` adds the *tenant* dimension the HTTP front
 end (:mod:`repro.engine.server`) admits on: one
 :class:`AdmissionController` per tenant (budgets from
@@ -60,8 +67,8 @@ class QueryShed:
     algorithm: str         # what the request would have run
     tau: float
     candidates: int        # size of the request's candidate set
-    #: tenant whose budget refused the request (None for engine-level
-    #: admission, which has no tenant dimension)
+    #: tenant the request was admitted for (``QueryRequest.tenant``;
+    #: None when the caller named none)
     tenant: str | None = None
 
 
@@ -166,19 +173,8 @@ class AdmissionController:
         with self._lock:
             return max(0, self.capacity - self._inflight - int(phantom))
 
-    # -- single-query admission ----------------------------------------
-    def try_acquire(self, phantom: int = 0) -> bool:
-        """Claim one slot; ``False`` means the query must be shed."""
-        with self._lock:
-            self.report.offered += 1
-            if self._inflight + int(phantom) >= self.capacity:
-                return False
-            self._inflight += 1
-            self.report.admitted += 1
-            return True
-
     def release(self, n: int = 1) -> None:
-        """Return ``n`` slots claimed by ``try_acquire``/``admit_batch``.
+        """Return ``n`` slots claimed by :meth:`admit_batch`.
 
         Releasing more slots than are held (a double release) must not
         mint phantom capacity — the in-flight count would go negative
@@ -196,7 +192,7 @@ class AdmissionController:
                 n = self._inflight
             self._inflight -= n
 
-    # -- batch admission -----------------------------------------------
+    # -- admission rounds ----------------------------------------------
     def admit_batch(
         self, priorities: list[int], phantom: int = 0
     ) -> tuple[list[int], list[tuple[int, str]]]:
@@ -322,10 +318,6 @@ class TenantAdmission:
     def budget_for(self, tenant: str) -> TenantBudget:
         """The budget ``tenant`` is (or would be) admitted under."""
         return self.budgets.get(tenant, self.default)
-
-    def try_acquire(self, tenant: str) -> bool:
-        """Claim one of ``tenant``'s slots; ``False`` means shed."""
-        return self.controller(tenant).try_acquire()
 
     def release(self, tenant: str, n: int = 1) -> None:
         """Return ``n`` of ``tenant``'s slots."""

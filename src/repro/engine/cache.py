@@ -145,7 +145,7 @@ class LRUCache:
         return self._data.keys()
 
     # -- eviction ------------------------------------------------------
-    def _over_budget(self) -> bool:
+    def _exceeds_budget(self) -> bool:
         if self.max_entries is not None and len(self._data) > self.max_entries:
             return True
         if self.max_bytes is not None and self.current_bytes > self.max_bytes:
@@ -156,7 +156,7 @@ class LRUCache:
         evicted = 0
         # Never evict the sole remaining entry: an oversized single
         # value is cheaper to keep than to rebuild on every query.
-        while len(self._data) > 1 and self._over_budget():
+        while len(self._data) > 1 and self._exceeds_budget():
             key, _value = self._data.popitem(last=False)
             self.current_bytes -= self._sizes.pop(key, 0)
             evicted += 1

@@ -14,8 +14,9 @@ Endpoints
   ``candidates`` (``[[x, y], ...]`` or ``[{"x": .., "y": ..}, ...]``),
   optional ``tau``/``algorithm``/``pf``/``tenant``/``priority``/
   ``timeout_ms``,
-* ``POST /v1/batch`` — ``{"queries": [...]}``, one coalesced admission
-  round per tenant through :meth:`QueryEngine.query_batch`,
+* ``POST /v1/batch`` — ``{"queries": [...]}`` plus an optional
+  batch-level ``tenant`` and ``timeout_ms``; members take the
+  ``/v1/query`` fields except ``timeout_ms`` (one deadline per batch),
 * ``POST /v1/subscribe`` — register a standing query on the front
   end's :class:`~repro.engine.subscriptions.SubscriptionEngine`; same
   ``candidates``/``tau``/``algorithm``/``pf`` fields as ``/v1/query``,
@@ -35,6 +36,18 @@ Endpoints
   :class:`~repro.engine.metrics.MetricsRegistry` a side-car
   :class:`~repro.engine.metrics.MetricsServer` would serve.
 
+One request path
+----------------
+
+``/v1/query`` is a batch of one: both query endpoints parse straight
+into :class:`~repro.engine.session.QueryRequest` objects (tenant and
+default priority resolved at parse time) and share
+:meth:`HTTPFrontEnd._answer` — one per-tenant admission round on the
+event loop, sketch answers or typed shed bodies for the overflow, and
+one :meth:`QueryEngine.query_batch` round on the executor for the
+admitted requests.  ``/v1/query`` unwraps its one slot: 429 for a
+shed, otherwise 200.
+
 Robustness contract
 -------------------
 
@@ -46,9 +59,9 @@ Robustness contract
   request is answered from the influence sketch instead
   (:meth:`QueryEngine.query_approx` — labelled, bounded, HTTP 200),
 * **deadline propagation** — ``timeout_ms`` (body field, or the
-  ``X-Timeout-Ms`` header) becomes ``query(deadline_seconds=...)``;
-  an overrun returns HTTP 504, the engine having already killed and
-  joined any workers past the budget,
+  ``X-Timeout-Ms`` header) becomes ``query_batch(deadline_seconds=...)``
+  and bounds the whole request; an overrun returns HTTP 504, the
+  engine having already killed and joined any workers past the budget,
 * **malformed input never tracebacks** — oversized bodies are refused
   with 413 *before* reading, missing/invalid ``Content-Length`` with
   411, malformed JSON and invalid parameters with 400; every error is
@@ -82,13 +95,8 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
-from repro.engine.admission import (
-    QueryShed,
-    QueryShedError,
-    TenantAdmission,
-)
+from repro.engine.admission import QueryShed, TenantAdmission
 from repro.engine.faults import DeadlineExceeded
 from repro.engine.session import QueryEngine, QueryRequest
 from repro.engine.subscriptions import SubscriptionEngine
@@ -133,15 +141,6 @@ PF_REGISTRY: dict[str, type] = {
     "convex": ConvexPF,
     "concave": ConcavePF,
 }
-
-#: single-request shed reason per tenant shed policy (batch admission
-#: reuses the engine's own per-policy reasons)
-_POLICY_REASON = {
-    "reject": "queue-full",
-    "oldest": "superseded",
-    "by-priority": "low-priority",
-}
-
 
 class ApiError(Exception):
     """A typed HTTP error: status code, machine code, human message.
@@ -249,17 +248,23 @@ def _parse_timeout_ms(body: dict, headers: dict) -> float | None:
     return timeout_ms
 
 
-@dataclass
-class _ParsedQuery:
-    """One validated ``/v1/query`` (or batch member) ready to execute."""
-
-    candidates: list[Candidate]
-    pf: ProbabilityFunction | None
-    tau: float
-    algorithm: str
-    tenant: str
-    priority: int | None
-    timeout_ms: float | None
+def _parse_spec(payload: dict) -> QueryRequest:
+    """The candidates, τ, algorithm and PF a query or subscribe body
+    names, as a request with no tenant or priority yet."""
+    candidates = _parse_candidates(payload.get("candidates"))
+    tau = payload.get("tau", 0.7)
+    try:
+        tau = float(tau)
+    except (TypeError, ValueError):
+        raise ApiError(400, "bad-tau", f"tau must be a number, got {tau!r}")
+    if not 0.0 < tau < 1.0:
+        raise ApiError(400, "bad-tau", f"tau must be in (0, 1), got {tau}")
+    algorithm = payload.get("algorithm", "PIN-VO")
+    if not isinstance(algorithm, str):
+        raise ApiError(400, "bad-algorithm", "algorithm must be a string")
+    return QueryRequest(
+        candidates, _parse_pf(payload.get("pf")), tau, algorithm
+    )
 
 
 class HTTPFrontEnd:
@@ -642,44 +647,46 @@ class HTTPFrontEnd:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _route(self, method, path, headers, body):
-        """Dispatch one parsed request; returns (status, payload, tenant)."""
-        if path == "/healthz":
-            if method != "GET":
-                raise ApiError(405, "method-not-allowed", "use GET")
-            return (*self._handle_healthz(), DEFAULT_TENANT)
-        if path == "/metrics":
-            if method != "GET":
-                raise ApiError(405, "method-not-allowed", "use GET")
-            return 200, self.engine.metrics.render(), DEFAULT_TENANT
-        if path == "/v1/query":
-            if method != "POST":
-                raise ApiError(405, "method-not-allowed", "use POST")
-            return await self._handle_query(headers, body)
-        if path == "/v1/batch":
-            if method != "POST":
-                raise ApiError(405, "method-not-allowed", "use POST")
-            return await self._handle_batch(headers, body)
-        if path == "/v1/subscribe":
-            if method != "POST":
-                raise ApiError(405, "method-not-allowed", "use POST")
-            return await self._handle_subscribe(headers, body)
-        if path == "/v1/ingest":
-            if method != "POST":
-                raise ApiError(405, "method-not-allowed", "use POST")
-            return await self._handle_ingest(headers, body)
-        if path.startswith("/v1/subscriptions/"):
-            if method not in ("GET", "DELETE"):
-                raise ApiError(405, "method-not-allowed", "use GET or DELETE")
-            return await self._handle_subscription(method, path)
-        raise ApiError(
-            404, "not-found",
-            f"no route for {path!r}; endpoints: /v1/query, /v1/batch, "
-            "/v1/subscribe, /v1/ingest, /v1/subscriptions/{id}, "
-            "/healthz, /metrics",
-        )
+    #: path -> (allowed methods, handler); ``/v1/subscriptions/{id}``
+    #: stands for every path under ``/v1/subscriptions/``
+    _ROUTES = {
+        "/v1/query": (("POST",), "_handle_query"),
+        "/v1/batch": (("POST",), "_handle_batch"),
+        "/v1/subscribe": (("POST",), "_handle_subscribe"),
+        "/v1/ingest": (("POST",), "_handle_ingest"),
+        "/v1/subscriptions/{id}": (("GET", "DELETE"), "_handle_subscription"),
+        "/healthz": (("GET",), "_handle_healthz"),
+        "/metrics": (("GET",), "_handle_metrics"),
+    }
 
-    def _handle_healthz(self):
+    async def _route(self, method, path, headers, body):
+        """Dispatch one parsed request; returns (status, payload, tenant).
+
+        Every ``/v1/`` endpoint is refused with 503 while draining.
+        """
+        key = (
+            "/v1/subscriptions/{id}"
+            if path.startswith("/v1/subscriptions/") else path
+        )
+        if key not in self._ROUTES:
+            raise ApiError(
+                404, "not-found",
+                f"no route for {path!r}; endpoints: "
+                f"{', '.join(self._ROUTES)}",
+            )
+        methods, handler = self._ROUTES[key]
+        if method not in methods:
+            raise ApiError(
+                405, "method-not-allowed", f"use {' or '.join(methods)}"
+            )
+        if key.startswith("/v1/") and self._draining:
+            raise ApiError(
+                503, "draining",
+                "the server is draining and no longer accepts queries",
+            )
+        return await getattr(self, handler)(method, path, headers, body)
+
+    async def _handle_healthz(self, method, path, headers, body):
         """Readiness: engine health + tenant budgets + front-end state."""
         health = self.engine.health()
         health["tenants"] = self.tenants.snapshot()
@@ -693,14 +700,11 @@ class HTTPFrontEnd:
             health["status"] = "draining"
             health["ready"] = False
         status = 200 if health["ready"] else 503
-        return status, health
+        return status, health, DEFAULT_TENANT
 
-    def _check_serving(self) -> None:
-        if self._draining:
-            raise ApiError(
-                503, "draining",
-                "the server is draining and no longer accepts queries",
-            )
+    async def _handle_metrics(self, method, path, headers, body):
+        """The engine's Prometheus page, ``pinls_http_*`` included."""
+        return 200, self.engine.metrics.render(), DEFAULT_TENANT
 
     def _parse_body(self, body: bytes) -> dict:
         try:
@@ -717,109 +721,178 @@ class HTTPFrontEnd:
 
     def _parse_query(
         self, payload: dict, headers: dict, tenant_default: str | None = None
-    ) -> _ParsedQuery:
-        """Validate one query object (top-level or batch member)."""
+    ) -> QueryRequest:
+        """One query object (top-level or batch member) as a request,
+        its tenant and priority resolved (the tenant budget's priority
+        when the body names none)."""
         tenant = payload.get("tenant") or tenant_default or headers.get(
             "x-tenant"
         ) or DEFAULT_TENANT
         if not isinstance(tenant, str) or not tenant:
             raise ApiError(400, "bad-tenant", "tenant must be a string")
-        candidates = _parse_candidates(payload.get("candidates"))
-        tau = payload.get("tau", 0.7)
-        try:
-            tau = float(tau)
-        except (TypeError, ValueError):
-            raise ApiError(400, "bad-tau", f"tau must be a number, got {tau!r}")
-        if not 0.0 < tau < 1.0:
-            raise ApiError(
-                400, "bad-tau", f"tau must be in (0, 1), got {tau}"
-            )
-        algorithm = payload.get("algorithm", "PIN-VO")
-        if not isinstance(algorithm, str):
-            raise ApiError(
-                400, "bad-algorithm", "algorithm must be a string"
-            )
+        request = _parse_spec(payload)
         priority = payload.get("priority")
-        if priority is not None:
-            try:
-                priority = int(priority)
-            except (TypeError, ValueError):
-                raise ApiError(
-                    400, "bad-priority",
-                    f"priority must be an integer, got {priority!r}",
-                )
-        return _ParsedQuery(
-            candidates=candidates,
-            pf=_parse_pf(payload.get("pf")),
-            tau=tau,
-            algorithm=algorithm,
-            tenant=tenant,
-            priority=priority,
-            timeout_ms=_parse_timeout_ms(payload, headers),
-        )
+        if priority is None:
+            priority = self.tenants.budget_for(tenant).priority
+        try:
+            request.priority = int(priority)
+        except (TypeError, ValueError):
+            raise ApiError(
+                400, "bad-priority",
+                f"priority must be an integer, got {priority!r}",
+            )
+        request.tenant = tenant
+        return request
 
     # ------------------------------------------------------------------
-    # /v1/query
+    # /v1/query and /v1/batch: one request path
     # ------------------------------------------------------------------
-    async def _handle_query(self, headers, body):
-        self._check_serving()
-        q = self._parse_query(self._parse_body(body), headers)
-        budget = self.tenants.budget_for(q.tenant)
-        priority = budget.priority if q.priority is None else q.priority
-        controller = self.tenants.controller(q.tenant)
-        if not controller.try_acquire():
-            answer = await self._over_budget(q, controller, priority)
-            return (*answer, q.tenant)
+    async def _handle_query(self, method, path, headers, body):
+        """One query, answered as a batch of one: 200, or 429 if shed."""
+        payload = self._parse_body(body)
+        request = self._parse_query(payload, headers)
+        (answer,) = await self._answer(
+            [request], _parse_timeout_ms(payload, headers)
+        )
+        status = 429 if "error" in answer else 200
+        return status, answer, request.tenant
+
+    async def _handle_batch(self, method, path, headers, body):
+        """Several queries through the same path as ``/v1/query``; the
+        batch-level ``timeout_ms`` bounds the whole batch."""
+        payload = self._parse_body(body)
+        raw_queries = payload.get("queries")
+        if not isinstance(raw_queries, list) or not raw_queries:
+            raise ApiError(
+                400, "bad-batch",
+                'batch body must be {"queries": [...]} with at least '
+                "one query",
+            )
+        batch_tenant = payload.get("tenant")
+        timeout_ms = _parse_timeout_ms(payload, headers)
+        requests: list[QueryRequest] = []
+        for i, raw in enumerate(raw_queries):
+            try:
+                if not isinstance(raw, dict):
+                    raise ApiError(400, "bad-batch", "must be an object")
+                if raw.get("timeout_ms") is not None:
+                    raise ApiError(
+                        400, "bad-timeout",
+                        "a batch member cannot carry its own timeout_ms; "
+                        "set timeout_ms on the batch, which bounds the "
+                        "whole batch",
+                    )
+                requests.append(
+                    self._parse_query(raw, headers, tenant_default=batch_tenant)
+                )
+            except ApiError as exc:
+                raise ApiError(
+                    exc.status, exc.code, f"queries[{i}]: {exc.message}"
+                )
+        tenant_label = (
+            batch_tenant if isinstance(batch_tenant, str) and batch_tenant
+            else DEFAULT_TENANT
+        )
+        answers = await self._answer(requests, timeout_ms)
+        return 200, {"results": answers}, tenant_label
+
+    async def _answer(
+        self, requests: list[QueryRequest], timeout_ms: float | None
+    ) -> list[dict]:
+        """Admit and answer one round of requests; bodies in request order.
+
+        1. One ``admit_batch`` round per tenant runs on the event loop,
+           so a shed request never waits for an executor thread
+           (``by-priority`` keeps a tenant's high-priority requests,
+           ``oldest`` its freshest; a full budget sheds as
+           ``queue-full``).
+        2. On an ``approx=True`` engine an over-budget request is
+           answered from the sketch (:meth:`QueryEngine.query_approx`);
+           otherwise it gets the typed 429 shed body.
+        3. The admitted requests run in one
+           :meth:`QueryEngine.query_batch` round on the executor,
+           bounded by ``timeout_ms``; the tenants' slots are released
+           when it returns.
+        """
+        answers: list = [None] * len(requests)
+        by_tenant: dict[str, list[int]] = {}
+        for i, request in enumerate(requests):
+            by_tenant.setdefault(request.tenant, []).append(i)
+        admitted: list[int] = []
+        overflow: list[int] = []
+        held: dict[str, int] = {}
+        for tenant, indexes in by_tenant.items():
+            controller = self.tenants.controller(tenant)
+            ok, shed = controller.admit_batch(
+                [requests[i].priority for i in indexes]
+            )
+            held[tenant] = len(ok)
+            admitted.extend(indexes[k] for k in ok)
+            for k, reason in shed:
+                i = indexes[k]
+                request = requests[i]
+                if (
+                    self.engine.approx
+                    and request.algorithm in self.engine.APPROX_ALGORITHMS
+                ):
+                    # over budget but never unanswered: the estimate is
+                    # too cheap to need a slot, and it is labelled
+                    overflow.append(i)
+                    continue
+                outcome = QueryShed(
+                    query_id=self.requests_served,
+                    reason=reason,
+                    policy=controller.policy,
+                    priority=request.priority,
+                    algorithm=request.algorithm,
+                    tau=request.tau,
+                    candidates=len(request.candidates),
+                    tenant=tenant,
+                )
+                controller.report.note_shed(outcome)
+                answers[i] = self._shed_body(outcome)
+        admitted.sort()
+        overflow.sort()
+        deadline = timeout_ms / 1000.0 if timeout_ms is not None else None
+
+        def run():
+            exact = []
+            if admitted:
+                exact = self.engine.query_batch(
+                    [requests[i] for i in admitted],
+                    deadline_seconds=deadline,
+                )
+            estimates = [
+                self.engine.query_approx(
+                    r.candidates, pf=r.pf, tau=r.tau, algorithm=r.algorithm,
+                    reason="overload", tenant=r.tenant,
+                )
+                for r in (requests[i] for i in overflow)
+            ]
+            return exact, estimates
+
         try:
-            result = await self._run_engine(
-                self.engine.query,
-                q.candidates,
-                pf=q.pf,
-                tau=q.tau,
-                algorithm=q.algorithm,
-                deadline_seconds=(
-                    q.timeout_ms / 1000.0
-                    if q.timeout_ms is not None else None
-                ),
-                priority=priority,
-                tenant=q.tenant,
+            exact, estimates = (
+                await self._run_engine(run)
+                if admitted or overflow else ([], [])
             )
         finally:
-            controller.release()
-        return 200, self._result_body(result, q.tenant), q.tenant
-
-    async def _over_budget(self, q: _ParsedQuery, controller, priority):
-        """The tenant's budget is full: approx-answer or shed with 429."""
-        if self.engine.approx and q.algorithm in self.engine.APPROX_ALGORITHMS:
-            # over-budget but never unanswered: the sketch estimate is
-            # too cheap to need a slot, and it is honestly labelled
-            self._m_approx.inc(tenant=q.tenant)
-            result = await self._run_engine(
-                self.engine.query_approx,
-                q.candidates,
-                pf=q.pf,
-                tau=q.tau,
-                algorithm=q.algorithm,
-                reason="overload",
-                tenant=q.tenant,
+            for tenant, n in held.items():
+                self.tenants.release(tenant, n)
+        for i, result in zip(admitted, exact):
+            answers[i] = (
+                # the engine's own (fleet backstop) admission shed it
+                self._shed_body(result) if isinstance(result, QueryShed)
+                else self._result_body(result, requests[i].tenant)
             )
-            return 200, self._result_body(result, q.tenant)
-        reason = _POLICY_REASON.get(controller.policy, "queue-full")
-        shed = QueryShed(
-            query_id=self.requests_served,
-            reason=reason,
-            policy=controller.policy,
-            priority=priority,
-            algorithm=q.algorithm,
-            tau=q.tau,
-            candidates=len(q.candidates),
-            tenant=q.tenant,
-        )
-        controller.report.note_shed(shed)
-        self._m_sheds.inc(tenant=q.tenant, reason=reason)
-        return 429, self._shed_body(shed)
+        for i, result in zip(overflow, estimates):
+            self._m_approx.inc(tenant=requests[i].tenant)
+            answers[i] = self._result_body(result, requests[i].tenant)
+        return answers
 
     def _shed_body(self, shed: QueryShed) -> dict:
+        """Count one shed request and render its typed 429 body."""
+        self._m_sheds.inc(tenant=shed.tenant, reason=shed.reason)
         out = ApiError(
             429, "shed",
             f"tenant {shed.tenant!r} is over its admission budget "
@@ -859,9 +932,8 @@ class HTTPFrontEnd:
         The event loop never executes engine work — slow queries (and
         slow clients waiting on them) occupy an executor thread, not
         the loop.  Engine-level outcomes are translated to typed HTTP
-        errors here: a deadline overrun is 504, an engine-level shed
-        (the fleet backstop, when the engine itself has admission
-        control) is 429, and validation errors are 400.
+        errors here: a deadline overrun is 504, validation errors are
+        400, and a closed engine is 503.
         """
         loop = asyncio.get_running_loop()
         try:
@@ -873,11 +945,6 @@ class HTTPFrontEnd:
                 504, "deadline-exceeded",
                 "the query exceeded its timeout_ms budget",
             )
-        except QueryShedError as exc:
-            raise ApiError(
-                429, "shed",
-                f"engine admission shed the query ({exc.shed.reason})",
-            )
         except ValueError as exc:
             raise ApiError(400, "bad-query", str(exc))
         except RuntimeError as exc:
@@ -886,24 +953,14 @@ class HTTPFrontEnd:
     # ------------------------------------------------------------------
     # /v1/subscribe, /v1/ingest, /v1/subscriptions/{id}
     # ------------------------------------------------------------------
-    async def _handle_subscribe(self, headers, body):
+    async def _handle_subscribe(self, method, path, headers, body):
         """Register a standing query; answers its version-1 snapshot."""
-        self._check_serving()
-        payload = self._parse_body(body)
-        candidates = _parse_candidates(payload.get("candidates"))
-        tau = payload.get("tau", 0.7)
-        try:
-            tau = float(tau)
-        except (TypeError, ValueError):
-            raise ApiError(400, "bad-tau", f"tau must be a number, got {tau!r}")
-        if not 0.0 < tau < 1.0:
-            raise ApiError(400, "bad-tau", f"tau must be in (0, 1), got {tau}")
-        algorithm = payload.get("algorithm", "PIN-VO")
-        pf = _parse_pf(payload.get("pf"))
+        spec = _parse_spec(self._parse_body(body))
 
         def _subscribe():
             sub_id = self.subscriptions.subscribe(
-                candidates, tau=tau, pf=pf, algorithm=algorithm
+                spec.candidates, tau=spec.tau, pf=spec.pf,
+                algorithm=spec.algorithm,
             )
             return sub_id, self.subscriptions.snapshot(sub_id)
 
@@ -913,9 +970,8 @@ class HTTPFrontEnd:
             "snapshot": snap.to_dict(),
         }, DEFAULT_TENANT
 
-    async def _handle_ingest(self, headers, body):
+    async def _handle_ingest(self, method, path, headers, body):
         """One coalesced ingest round of position updates."""
-        self._check_serving()
         payload = self._parse_body(body)
         raw = payload.get("updates")
         if raw is None and "object_id" in payload:
@@ -970,9 +1026,8 @@ class HTTPFrontEnd:
                 f"subscription id must be an integer, got {raw!r}",
             )
 
-    async def _handle_subscription(self, method, path):
+    async def _handle_subscription(self, method, path, headers, body):
         """GET = the current snapshot, DELETE = unsubscribe."""
-        self._check_serving()
         sub_id = self._parse_subscription_id(path)
         try:
             if method == "DELETE":
@@ -989,124 +1044,6 @@ class HTTPFrontEnd:
                 f"no subscription with id {sub_id}",
             )
         return 200, snap.to_dict(), DEFAULT_TENANT
-
-    # ------------------------------------------------------------------
-    # /v1/batch
-    # ------------------------------------------------------------------
-    async def _handle_batch(self, headers, body):
-        """One admission round per tenant, then one engine batch.
-
-        Members are grouped by tenant and admitted through each
-        tenant's own controller (so the per-tenant shed *policy*
-        applies within the round: ``by-priority`` keeps a tenant's
-        high-priority members, ``oldest`` its freshest).  Admitted
-        members run through :meth:`QueryEngine.query_batch`; shed ones
-        come back in place as typed shed objects, preserving order.
-        """
-        self._check_serving()
-        payload = self._parse_body(body)
-        raw_queries = payload.get("queries")
-        if not isinstance(raw_queries, list) or not raw_queries:
-            raise ApiError(
-                400, "bad-batch",
-                'batch body must be {"queries": [...]} with at least '
-                "one query",
-            )
-        batch_tenant = payload.get("tenant")
-        timeout_ms = _parse_timeout_ms(payload, headers)
-        queries: list[_ParsedQuery] = []
-        for i, raw in enumerate(raw_queries):
-            if not isinstance(raw, dict):
-                raise ApiError(
-                    400, "bad-batch", f"queries[{i}] must be an object"
-                )
-            try:
-                queries.append(
-                    self._parse_query(raw, headers, tenant_default=batch_tenant)
-                )
-            except ApiError as exc:
-                raise ApiError(
-                    exc.status, exc.code, f"queries[{i}]: {exc.message}"
-                )
-
-        # Per-tenant admission round over the batch members.
-        by_tenant: dict[str, list[int]] = {}
-        for i, q in enumerate(queries):
-            by_tenant.setdefault(q.tenant, []).append(i)
-        slots: list = [None] * len(queries)
-        admitted: list[int] = []
-        released: dict[str, int] = {}
-        for tenant, indexes in by_tenant.items():
-            controller = self.tenants.controller(tenant)
-            budget = self.tenants.budget_for(tenant)
-            priorities = [
-                budget.priority
-                if queries[i].priority is None else queries[i].priority
-                for i in indexes
-            ]
-            ok, shed_pairs = controller.admit_batch(priorities)
-            released[tenant] = len(ok)
-            admitted.extend(indexes[k] for k in ok)
-            for k, reason in shed_pairs:
-                i = indexes[k]
-                shed = QueryShed(
-                    query_id=self.requests_served,
-                    reason=reason,
-                    policy=controller.policy,
-                    priority=priorities[k],
-                    algorithm=queries[i].algorithm,
-                    tau=queries[i].tau,
-                    candidates=len(queries[i].candidates),
-                    tenant=tenant,
-                )
-                controller.report.note_shed(shed)
-                self._m_sheds.inc(tenant=tenant, reason=reason)
-                slots[i] = self._shed_body(shed)
-        admitted.sort()
-
-        results = []
-        if admitted:
-            requests = [
-                QueryRequest(
-                    queries[i].candidates,
-                    queries[i].pf,
-                    queries[i].tau,
-                    queries[i].algorithm,
-                    priority=(
-                        queries[i].priority
-                        if queries[i].priority is not None
-                        else self.tenants.budget_for(queries[i].tenant).priority
-                    ),
-                )
-                for i in admitted
-            ]
-            try:
-                results = await self._run_engine(
-                    self.engine.query_batch,
-                    requests,
-                    deadline_seconds=(
-                        timeout_ms / 1000.0
-                        if timeout_ms is not None else None
-                    ),
-                )
-            finally:
-                for tenant, n in released.items():
-                    if n:
-                        self.tenants.release(tenant, n)
-        for i, res in zip(admitted, results):
-            if isinstance(res, QueryShed):
-                # the engine-level (fleet backstop) admission shed it
-                self._m_sheds.inc(
-                    tenant=queries[i].tenant, reason=res.reason
-                )
-                slots[i] = self._shed_body(res)
-            else:
-                slots[i] = self._result_body(res, queries[i].tenant)
-        tenant_label = (
-            batch_tenant if isinstance(batch_tenant, str) and batch_tenant
-            else DEFAULT_TENANT
-        )
-        return 200, {"results": slots}, tenant_label
 
 
 class BackgroundServer:

@@ -33,7 +33,12 @@ on every call; the engine ingests Ω once and amortises that work:
   ladder (:mod:`repro.engine.breaker`) walks repeated tier failures
   down pool → serial and self-heals; every cache is a bounded
   LRU (:mod:`repro.engine.cache`) with eviction counters, and the
-  in-memory metrics record list is capped (``records_dropped``).
+  in-memory metrics record list is capped (``records_dropped``),
+* **one request path** — ``query``, ``query_batch`` and
+  ``query_approx`` wrap one admission round (a single query is a
+  round of one); a :class:`QueryRequest` carries everything one
+  request needs, down to the ``tenant`` the HTTP front end admitted it
+  for, which tags its admission span and shed record.
 
 Every cache stays correct at any budget (a miss only recomputes), the
 ladder is lossless (lower tiers compute the same answer), and results
@@ -140,8 +145,6 @@ class EngineStats:
     rtree_evictions: int = 0
     pruning_evictions: int = 0
     sketch_evictions: int = 0
-    #: admission size of every ``query_batch`` call, in call order
-    batch_sizes: list[int] = field(default_factory=list)
 
     @property
     def hits(self) -> int:
@@ -222,6 +225,10 @@ class QueryRequest:
     algorithm_kwargs: dict = field(default_factory=dict)
     #: admission priority (higher wins under the "by-priority" policy)
     priority: int = 0
+    #: tenant the HTTP front end admitted the request for; tags its
+    #: admission span, shed outcome and shed record (the engine itself
+    #: stays tenant-blind)
+    tenant: str | None = None
 
 
 @dataclass
@@ -825,7 +832,6 @@ class QueryEngine:
         algorithm: str = "PIN-VO",
         deadline_seconds: float | None = None,
         priority: int = 0,
-        tenant: str | None = None,
         **algorithm_kwargs,
     ) -> LSResult:
         """Answer one PRIME-LS query against the ingested fleet.
@@ -863,18 +869,12 @@ class QueryEngine:
         the typed :class:`~repro.engine.admission.QueryShed` outcome
         (reason ``queue-full`` under every policy).  ``priority`` is
         recorded on the shed outcome.
-
-        ``tenant`` tags the query's admission span (and shed outcome)
-        with the multi-tenant front end's tenant name; the engine
-        itself stays tenant-blind — per-tenant budgets are enforced by
-        :class:`~repro.engine.admission.TenantAdmission` in
-        :mod:`repro.engine.server` before the query reaches here.
         """
         self._check_open()
         request = QueryRequest(
             list(candidates), pf, tau, algorithm, algorithm_kwargs, priority
         )
-        (out,) = self._serve([request], deadline_seconds, tenant=tenant)
+        (out,) = self._serve([request], deadline_seconds)
         if isinstance(out, QueryShed):
             raise QueryShedError(out)
         return out
@@ -900,7 +900,8 @@ class QueryEngine:
         in :attr:`APPROX_ALGORITHMS`; the result is labelled
         (``quality="approx"`` unless the sketch is exhaustive) and
         accounted like every approximate answer (stats, JSONL record
-        with ``approx_reason``, metrics, trace).
+        with ``approx_reason``, metrics, trace); ``tenant`` tags its
+        admission span like :attr:`QueryRequest.tenant`.
         """
         self._check_open()
         if not self.approx:
@@ -913,10 +914,10 @@ class QueryEngine:
                 f"the approximate tier cannot answer {algorithm!r}; "
                 f"expected one of {', '.join(self.APPROX_ALGORITHMS)}"
             )
-        request = QueryRequest(list(candidates), pf, tau, algorithm)
-        (out,) = self._serve(
-            [request], tenant=tenant, approx_reason=reason
+        request = QueryRequest(
+            list(candidates), pf, tau, algorithm, tenant=tenant
         )
+        (out,) = self._serve([request], approx_reason=reason)
         return out
 
     def query_batch(
@@ -978,16 +979,14 @@ class QueryEngine:
                 ))
         if not reqs:
             raise ValueError("need at least one request in the batch")
-        return self._serve(reqs, deadline_seconds, batch=True)
+        return self._serve(reqs, deadline_seconds)
 
     def _serve(
         self,
         reqs: list[QueryRequest],
         deadline_seconds: float | None = None,
         *,
-        tenant: str | None = None,
         approx_reason: str | None = None,
-        batch: bool = False,
     ) -> "list[LSResult | QueryShed]":
         """The one request path behind every public query method.
 
@@ -996,8 +995,7 @@ class QueryEngine:
         → plan each request through the caches → dispatch every span in
         one pool round → assemble and record in request order.  A
         non-``None`` ``approx_reason`` answers every request from the
-        sketch tier without an admission slot (:meth:`query_approx`);
-        ``batch`` logs the round in :attr:`EngineStats.batch_sizes`.
+        sketch tier without an admission slot (:meth:`query_approx`).
         """
         from repro import make_algorithm
 
@@ -1014,8 +1012,6 @@ class QueryEngine:
             solvers.append(
                 make_algorithm(req.algorithm, **req.algorithm_kwargs)
             )
-        if batch:
-            self.stats.batch_sizes.append(len(reqs))
         started = time.perf_counter()
         size = len(reqs)
 
@@ -1043,11 +1039,11 @@ class QueryEngine:
                     # from the sketch instead of refusing them
                     reason = "overload"
                 if reason is None:
-                    out[i] = self._shed(shed_reason, req, size, tenant)
+                    out[i] = self._shed(shed_reason, req, size)
                     continue
                 plan = self._plan(
                     req, solvers[i], "approx", self.stats.queries, size,
-                    tenant, set(), admitted=False, approx_reason=reason,
+                    set(), admitted=False, approx_reason=reason,
                 )
                 out[i] = self._record(
                     plan, self._assemble(plan, {}, None), started
@@ -1056,7 +1052,7 @@ class QueryEngine:
                 results = self._run_round(
                     [reqs[i] for i in admitted],
                     [solvers[i] for i in admitted],
-                    deadline_seconds, started, size, tenant,
+                    deadline_seconds, started, size,
                 )
                 for i, result in zip(admitted, results):
                     out[i] = result
@@ -1072,7 +1068,6 @@ class QueryEngine:
         deadline_seconds: float | None,
         started: float,
         size: int,
-        tenant: str | None,
     ) -> list[LSResult]:
         """Execute the admitted requests of one round on one tier."""
         tier = self.ladder.select(self._tiers())
@@ -1087,7 +1082,7 @@ class QueryEngine:
         for req, solver in zip(reqs, solvers):
             plan = self._plan(
                 req, solver, tier, self.stats.queries + len(plans), size,
-                tenant, planned, start_id=len(tasks),
+                planned, start_id=len(tasks),
             )
             plans.append(plan)
             tasks.extend(plan.tasks)
@@ -1158,7 +1153,6 @@ class QueryEngine:
         tier: str,
         query_id: int,
         size: int,
-        tenant: str | None,
         planned: set,
         *,
         admitted: bool = True,
@@ -1180,8 +1174,8 @@ class QueryEngine:
             "query", algorithm=req.algorithm, batch_size=size
         )
         admission = trace.child("admission")
-        if tenant is not None:
-            admission.set(tenant=tenant)
+        if req.tenant is not None:
+            admission.set(tenant=req.tenant)
         if admitted:
             admission.finish(admitted=True)
         else:
@@ -1403,11 +1397,7 @@ class QueryEngine:
     # Accounting
     # ------------------------------------------------------------------
     def _shed(
-        self,
-        reason: str,
-        req: QueryRequest,
-        batch_size: int,
-        tenant: str | None,
+        self, reason: str, req: QueryRequest, batch_size: int
     ) -> QueryShed:
         """Account one shed query: id, counters, report, JSONL record."""
         query_id = self.stats.queries
@@ -1421,7 +1411,7 @@ class QueryEngine:
             algorithm=req.algorithm,
             tau=float(req.tau),
             candidates=len(req.candidates),
-            tenant=tenant,
+            tenant=req.tenant,
         )
         self.admission.report.note_shed(shed)
         # shed queries never executed, so they carry no span tree
@@ -1438,7 +1428,7 @@ class QueryEngine:
             "shed_reason": reason,
             "shed_policy": self.admission.policy,
             "priority": req.priority,
-            "tenant": tenant,
+            "tenant": req.tenant,
             "batch_size": batch_size,
             "best_candidate": None,
             "best_influence": None,

@@ -88,6 +88,11 @@ def serial_answer(world, candidates, pf):
 # ---------------------------------------------------------------------------
 # Admission controller (pure units)
 # ---------------------------------------------------------------------------
+def _admit_one(ctl, phantom=0) -> bool:
+    """A single-request admission round; True when it was admitted."""
+    return ctl.admit_batch([0], phantom=phantom)[0] == [0]
+
+
 class TestAdmissionController:
     def test_queue_depth_defaults_to_inflight(self):
         ctl = AdmissionController(3)
@@ -102,13 +107,13 @@ class TestAdmissionController:
         with pytest.raises(ValueError):
             AdmissionController(1, policy="drop-everything")
 
-    def test_try_acquire_release_bounds_inflight(self):
+    def test_admit_release_bounds_inflight(self):
         ctl = AdmissionController(1, max_queue_depth=1)
-        assert ctl.try_acquire()
-        assert ctl.try_acquire()
-        assert not ctl.try_acquire()  # capacity 2 reached
+        assert _admit_one(ctl)
+        assert _admit_one(ctl)
+        assert not _admit_one(ctl)  # capacity 2 reached
         ctl.release()
-        assert ctl.try_acquire()
+        assert _admit_one(ctl)
         ctl.release(2)
         assert ctl.inflight == 0
         assert ctl.report.offered == 4
@@ -116,9 +121,9 @@ class TestAdmissionController:
 
     def test_phantom_load_occupies_capacity(self):
         ctl = AdmissionController(1, max_queue_depth=0)
-        assert not ctl.try_acquire(phantom=1)
+        assert not _admit_one(ctl, phantom=1)
         assert ctl.free_slots(phantom=1) == 0
-        assert ctl.try_acquire()
+        assert _admit_one(ctl)
 
     def test_admit_batch_within_capacity_admits_all(self):
         ctl = AdmissionController(2)
@@ -158,7 +163,7 @@ class TestAdmissionController:
 
     def test_snapshot_shape(self):
         ctl = AdmissionController(2, policy="oldest")
-        ctl.try_acquire()
+        _admit_one(ctl)
         snap = ctl.snapshot()
         assert snap["policy"] == "oldest"
         assert snap["inflight"] == 1
@@ -171,14 +176,14 @@ class TestAdmissionController:
         # capacity: a double release would let the controller admit
         # capacity + excess queries.
         ctl = AdmissionController(1, max_queue_depth=0)
-        assert ctl.try_acquire()
+        assert _admit_one(ctl)
         ctl.release()
         ctl.release()            # the lifecycle bug: one release too many
         assert ctl.inflight == 0
         assert ctl.over_releases == 1
         # capacity is still 1 — not widened by the bogus release
-        assert ctl.try_acquire()
-        assert not ctl.try_acquire()
+        assert _admit_one(ctl)
+        assert not _admit_one(ctl)
         ctl.release(5)           # releases 1 held + 4 bogus
         assert ctl.inflight == 0
         assert ctl.over_releases == 5
@@ -211,9 +216,9 @@ class TestTenantAdmission:
         tenants = TenantAdmission(
             default=TenantBudget(max_inflight=1, max_queue_depth=0),
         )
-        assert tenants.try_acquire("bulk")
-        assert not tenants.try_acquire("bulk")   # bulk's budget is full
-        assert tenants.try_acquire("victim")     # victim's is not
+        assert _admit_one(tenants.controller("bulk"))
+        assert not _admit_one(tenants.controller("bulk"))  # bulk's is full
+        assert _admit_one(tenants.controller("victim"))    # victim's is not
         tenants.release("bulk")
         tenants.release("victim")
         snap = tenants.snapshot()

@@ -88,7 +88,9 @@ class TestBitIdentity:
         ]
         with pooled_engine(world) as engine:
             batched = engine.query_batch(requests)
-            assert engine.stats.batch_sizes == [len(requests)]
+            assert [r["batch_size"] for r in engine.metrics_log] == (
+                [len(requests)] * len(requests)
+            )
         sequential_engine = QueryEngine(world)
         for got, req in zip(batched, requests):
             want = sequential_engine.query(

@@ -265,6 +265,18 @@ class TestTypedErrors:
         )
         assert (status, code) == (504, "deadline-exceeded")
 
+    def test_batch_member_timeout_is_400(self, server, candidates):
+        # one deadline bounds the whole batch, so a member's own is
+        # refused rather than ignored
+        status, out = _request(
+            server.port, "POST", "/v1/batch",
+            {"queries": [
+                {"candidates": _coords(candidates), "timeout_ms": 0.0001},
+            ]},
+        )
+        assert (status, out["error"]["code"]) == (400, "bad-timeout")
+        assert "set timeout_ms on the batch" in out["error"]["message"]
+
 
 # ---------------------------------------------------------------------------
 # Per-tenant admission
@@ -276,14 +288,14 @@ def _gated_engine(world, gate: threading.Event, gated_tenant="bulk", **kwargs):
     tenant's budget slot for exactly as long as the test wants.
     """
     engine = QueryEngine(world, **kwargs)
-    original = engine.query
+    original = engine.query_batch
 
-    def query(candidates, *args, **kw):
-        if kw.get("tenant") == gated_tenant:
+    def query_batch(requests, *args, **kw):
+        if any(r.tenant == gated_tenant for r in requests):
             assert gate.wait(timeout=30.0), "gate never opened"
-        return original(candidates, *args, **kw)
+        return original(requests, *args, **kw)
 
-    engine.query = query
+    engine.query_batch = query_batch
     return engine
 
 
@@ -370,6 +382,70 @@ class TestTenantIsolation:
             assert results["holder"][0] == 200
             assert results["holder"][1]["quality"] == "exact"
             assert tenants.shed_by_tenant()["bulk"] == 0
+
+    @pytest.mark.parametrize("policy", ["oldest", "by-priority"])
+    def test_lone_over_budget_query_sheds_as_queue_full(
+        self, world, candidates, policy
+    ):
+        tenants = TenantAdmission(
+            budgets={"bulk": TenantBudget(
+                max_inflight=1, max_queue_depth=0, policy=policy,
+            )},
+        )
+        # hold bulk's only slot: no request of the next round displaces
+        # another, so the shed reason is the one a full budget gives
+        assert tenants.controller("bulk").admit_batch([0]) == ([0], [])
+        with BackgroundServer(QueryEngine(world), tenants=tenants) as server:
+            status, out = _request(
+                server.port, "POST", "/v1/query",
+                {"candidates": _coords(candidates), "tenant": "bulk"},
+            )
+        tenants.release("bulk")
+        assert status == 429
+        assert out["shed"]["reason"] == "queue-full"
+        assert out["shed"]["policy"] == policy
+
+    def test_batch_overflow_is_answered_from_the_sketch(
+        self, world, candidates
+    ):
+        engine = QueryEngine(world, approx=True, approx_k=4)
+        tenants = TenantAdmission(
+            budgets={"bulk": TenantBudget(max_inflight=1, max_queue_depth=0)},
+        )
+        member = {"candidates": _coords(candidates), "tenant": "bulk"}
+        with BackgroundServer(engine, tenants=tenants) as server:
+            status, out = _request(
+                server.port, "POST", "/v1/batch",
+                {"queries": [member, member, member]},
+            )
+            _, page = _request(server.port, "GET", "/metrics")
+        assert status == 200
+        first, *overflow = out["results"]
+        assert first["quality"] == "exact"
+        assert [r["quality"] for r in overflow] == ["approx", "approx"]
+        assert all(r["error_bound"] is not None for r in overflow)
+        assert tenants.shed_by_tenant()["bulk"] == 0
+        assert 'pinls_http_approx_answers_total{tenant="bulk"} 2\n' in page
+
+    def test_batch_member_tenant_tags_its_admission_span(
+        self, world, candidates
+    ):
+        engine = QueryEngine(world, tracing=True)
+        coords = _coords(candidates)
+        with BackgroundServer(engine) as server:
+            status, _ = _request(
+                server.port, "POST", "/v1/batch",
+                {"queries": [
+                    {"candidates": coords, "tenant": "a"},
+                    {"candidates": coords, "tenant": "b"},
+                ]},
+            )
+        assert status == 200
+        admission = [
+            child for trace in engine.tracer.traces
+            for child in trace["children"] if child["name"] == "admission"
+        ]
+        assert [span["attrs"]["tenant"] for span in admission] == ["a", "b"]
 
     def test_batch_admission_is_per_tenant(self, world, candidates):
         engine = QueryEngine(world)
