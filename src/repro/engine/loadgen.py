@@ -19,9 +19,7 @@ percentiles over *completed* (HTTP 200) requests, shed counts (429),
 approx-vs-exact answer split, and error tallies.  ``serve-bench
 --server`` (see :mod:`repro.cli`) runs it against an in-process
 :class:`~repro.engine.server.BackgroundServer` or, with
-``--server-url``, any already-running front end; BENCH_8 sweeps the
-offered rate to trace the overload curves with and without the
-approximate floor.
+``--server-url``, any already-running front end.
 """
 
 from __future__ import annotations
@@ -31,6 +29,15 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+
+#: per-request connect/write/read timeout, in seconds
+REQUEST_TIMEOUT = 30.0
+#: ``run_server_bench``'s ``bulk`` tenant offers this multiple of the
+#: per-tenant ``offered_qps``
+BURST_FACTOR = 4.0
+#: ``run_server_bench``'s seed for the world, its candidate draw and
+#: every tenant's arrival stream
+SERVER_BENCH_SEED = 7
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -148,7 +155,7 @@ class LoadReport:
 
 
 async def _post_query(
-    host: str, port: int, body: bytes, timeout: float
+    host: str, port: int, body: bytes
 ) -> tuple[int, dict | None]:
     """One ``POST /v1/query`` over its own connection.
 
@@ -156,7 +163,7 @@ async def _post_query(
     exceptions for the caller to tally.
     """
     reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout
+        asyncio.open_connection(host, port), REQUEST_TIMEOUT
     )
     try:
         head = (
@@ -168,8 +175,8 @@ async def _post_query(
             f"\r\n"
         ).encode("latin-1")
         writer.write(head + body)
-        await asyncio.wait_for(writer.drain(), timeout)
-        raw = await asyncio.wait_for(reader.read(), timeout)
+        await asyncio.wait_for(writer.drain(), REQUEST_TIMEOUT)
+        raw = await asyncio.wait_for(reader.read(), REQUEST_TIMEOUT)
     finally:
         writer.close()
         try:
@@ -194,7 +201,6 @@ async def _drive_tenant(
     host: str,
     port: int,
     duration: float,
-    request_timeout: float,
     rng: random.Random,
     stats: TenantStats,
 ) -> None:
@@ -210,9 +216,7 @@ async def _drive_tenant(
         sent_at = time.perf_counter()
         stats.sent += 1
         try:
-            status, parsed = await _post_query(
-                host, port, body, request_timeout
-            )
+            status, parsed = await _post_query(host, port, body)
         except (asyncio.TimeoutError, ConnectionError, OSError):
             stats.note_error("transport")
             return
@@ -247,7 +251,6 @@ async def run_load(
     host: str,
     port: int,
     duration: float = 5.0,
-    request_timeout: float = 30.0,
     seed: int = 0,
 ) -> LoadReport:
     """Drive every tenant's schedule concurrently; gather the report.
@@ -273,7 +276,6 @@ async def run_load(
             host,
             port,
             duration,
-            request_timeout,
             random.Random(f"{seed}:{load.tenant}"),
             stats[load.tenant],
         )
@@ -298,8 +300,6 @@ def build_serving_engine(
     approx: bool = False,
     approx_k: int | None = None,
     faults=None,
-    metrics_path=None,
-    trace_path=None,
 ):
     """A Gowalla-like engine plus a candidate sampler for serving.
 
@@ -329,8 +329,6 @@ def build_serving_engine(
         pool=pool,
         approx=approx,
         fault_injector=FaultInjector(list(faults)) if faults else None,
-        metrics_path=metrics_path,
-        trace_path=trace_path,
         **extra,
     )
 
@@ -344,48 +342,40 @@ def build_serving_engine(
 def run_server_bench(
     *,
     offered_qps: float = 10.0,
-    burst_factor: float = 4.0,
     duration: float = 3.0,
     tenants: int = 2,
     workers: int = 0,
     pool: bool = False,
     approx: bool = False,
     max_inflight: int = 2,
-    max_queue_depth: int | None = None,
     shed_policy: str = "reject",
     server_url: str | None = None,
-    scale: float = 0.05,
-    seed: int = 7,
-    timeout_ms: float | None = None,
 ) -> dict:
-    """One open-loop run against the HTTP front end; the BENCH_8 unit.
+    """One open-loop run against the HTTP front end.
 
     Drives ``tenants`` tenants for ``duration`` seconds: tenant
-    ``bulk`` offers ``burst_factor * offered_qps`` (the overloader),
-    every other tenant (``victim``, ``victim2``, ...) offers
-    ``offered_qps``.  Without ``server_url`` an in-process
+    ``bulk`` offers :data:`BURST_FACTOR` times ``offered_qps`` (the
+    overloader), every other tenant (``victim``, ``victim2``, ...)
+    offers ``offered_qps``.  Without ``server_url`` an in-process
     :class:`~repro.engine.server.BackgroundServer` is started over a
-    fresh Gowalla-like engine, each tenant bounded by ``max_inflight``/
-    ``max_queue_depth``/``shed_policy``, and drained at the end; with
-    it, an already-running front end is driven instead (its admission
-    configuration is whatever the server was started with).
+    fresh Gowalla-like engine, each tenant bounded by ``max_inflight``
+    slots and a queue as deep under ``shed_policy``, and drained at the
+    end; with it, an already-running front end is driven instead (its
+    admission configuration is whatever the server was started with).
 
     Returns a JSON-ready dict: the :class:`LoadReport` plus the run's
     configuration and (in-process only) the drain summary.
     """
     if tenants < 1:
         raise ValueError(f"tenants must be >= 1, got {tenants}")
-    if burst_factor < 1:
-        raise ValueError(f"burst_factor must be >= 1, got {burst_factor}")
 
     def _loads(sample_candidates) -> list[TenantLoad]:
         candidates = [
-            [float(c.x), float(c.y)] for c in sample_candidates(24, seed)
+            [float(c.x), float(c.y)]
+            for c in sample_candidates(24, SERVER_BENCH_SEED)
         ]
         payload = {"candidates": candidates, "tau": 0.7}
-        if timeout_ms is not None:
-            payload["timeout_ms"] = timeout_ms
-        loads = [TenantLoad("bulk", burst_factor * offered_qps, payload)]
+        loads = [TenantLoad("bulk", BURST_FACTOR * offered_qps, payload)]
         for i in range(1, tenants):
             name = "victim" if i == 1 else f"victim{i}"
             loads.append(TenantLoad(name, offered_qps, payload))
@@ -393,14 +383,13 @@ def run_server_bench(
 
     config = {
         "offered_qps": offered_qps,
-        "burst_factor": burst_factor,
+        "burst_factor": BURST_FACTOR,
         "duration": duration,
         "tenants": tenants,
         "workers": workers,
         "pool": pool,
         "approx": approx,
         "max_inflight": max_inflight,
-        "max_queue_depth": max_queue_depth,
         "shed_policy": shed_policy,
     }
     if server_url is not None:
@@ -413,7 +402,7 @@ def run_server_bench(
                 f"{server_url!r}"
             )
         engine, sample_candidates = build_serving_engine(
-            scale=scale, seed=seed
+            seed=SERVER_BENCH_SEED
         )
         # only the candidate sampler is needed; the engine under test
         # is the remote one
@@ -423,7 +412,7 @@ def run_server_bench(
             host=parsed.hostname,
             port=parsed.port,
             duration=duration,
-            seed=seed,
+            seed=SERVER_BENCH_SEED,
         )
         return {
             "config": config,
@@ -435,14 +424,10 @@ def run_server_bench(
     from repro.engine.server import BackgroundServer
 
     engine, sample_candidates = build_serving_engine(
-        scale=scale, seed=seed, workers=workers, pool=pool, approx=approx
+        seed=SERVER_BENCH_SEED, workers=workers, pool=pool, approx=approx
     )
     admission = TenantAdmission(
-        default=TenantBudget(
-            max_inflight=max_inflight,
-            max_queue_depth=max_queue_depth,
-            policy=shed_policy,
-        )
+        default=TenantBudget(max_inflight=max_inflight, policy=shed_policy)
     )
     server = BackgroundServer(engine, tenants=admission)
     try:
@@ -451,7 +436,7 @@ def run_server_bench(
             host="127.0.0.1",
             port=server.port,
             duration=duration,
-            seed=seed,
+            seed=SERVER_BENCH_SEED,
         )
     finally:
         drain = server.stop()

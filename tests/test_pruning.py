@@ -347,6 +347,35 @@ class TestBlockedScan:
         assert got == want
         assert got["pairs_pruned_nib"] > 0 and got["heap_pops"] > 0
 
+    @pytest.mark.parametrize("n_objects", [1_000, 10_000])
+    def test_scale_ladder_rungs_match_dense_scan(self, n_objects):
+        # The scale ladder's fleet: 4-16 positions around uniform
+        # anchors, on an extent growing with sqrt(n) so object density
+        # stays constant.  At 10^4 objects the scan runs ten
+        # default-size STR chunks.
+        rng = np.random.default_rng(17)
+        extent = 30.0 * np.sqrt(n_objects / 1_000)
+        counts = rng.integers(4, 17, size=n_objects)
+        anchors = rng.uniform(0.0, extent, size=(n_objects, 2))
+        positions = np.repeat(anchors, counts, axis=0) + rng.normal(
+            0.0, 1.5, size=(int(counts.sum()), 2)
+        )
+        objects = [
+            MovingObject(i, block)
+            for i, block in enumerate(
+                np.split(positions, np.cumsum(counts)[:-1])
+            )
+        ]
+        table = ObjectTable(objects, PF, 0.7)
+        cand_xy = np.random.default_rng(18).uniform(
+            0.0, extent, size=(64, 2)
+        )
+        ia, band = scattered_table_chunks(table, cand_xy)
+        dense_ia, dense_band = dense_classification(table, cand_xy)
+        np.testing.assert_array_equal(ia, dense_ia)
+        np.testing.assert_array_equal(band, dense_band)
+        assert ia.any() and band.any()
+
     def test_empty_table_and_empty_candidate_set(self):
         objects = make_objects(np.random.default_rng(3), 5, n_range=(1, 4))
         # LogsigPF(rho=0.5) cannot reach tau = 0.9: every object is dead.

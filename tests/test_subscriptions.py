@@ -24,6 +24,7 @@ from repro.core.naive import NaiveAlgorithm
 from repro.core.pruning import CLASSIFY_GUARD, classify_span
 from repro.core.safe_region import guarded_split, margins_span
 from repro.engine.faults import FaultInjector, FaultSpec
+from repro.engine.pool import fork_available, pool_segments
 from repro.engine.session import QueryEngine
 from repro.engine.subscriptions import (
     SUBSCRIPTION_ALGORITHMS,
@@ -36,6 +37,7 @@ from repro.model import Candidate
 from repro.prob import LinearPF, PowerLawPF
 
 from tests.helpers import SHIPPED_PFS, boundary_placements
+from tests.test_faults import assert_no_orphans
 
 
 def oracle_influences(engine, cand_pairs, tau, pf):
@@ -379,6 +381,69 @@ class TestAdmissionAndFaults:
         assert r.applied == 3
         # one object touched: at most one recompute for it
         assert r.crossings + r.safe_region_hits == 1
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_storm_and_pool_crash_keep_every_snapshot_exact(self, pf):
+        # The streaming chaos drill: 12 ingest rounds at 4x the round
+        # budget, the first two under an injected update storm, then a
+        # pooled one-shot query whose worker crashes in the same
+        # process, then 4 more rounds.
+        budget, n_objects = 250, 2_000
+        rng = np.random.default_rng(23)
+        extent = 30.0 * np.sqrt(n_objects / 1_000)
+        anchors = rng.uniform(0.0, extent, size=(n_objects, 2))
+        storms = FaultInjector()
+        eng = SubscriptionEngine(
+            window=8, default_pf=pf,
+            max_updates_per_round=budget, shed_policy="reject",
+            fault_injector=storms,
+        )
+        for oid, (x, y) in enumerate(anchors.tolist()):
+            eng.ingest(oid, x, y)
+        subs = []
+        for _ in range(40):
+            cands = [tuple(xy) for xy in rng.uniform(0, extent, (4, 2))]
+            subs.append((eng.subscribe(cands, tau=0.7), cands))
+
+        def ingest_round(size):
+            oids = rng.integers(0, n_objects, size=size)
+            xy = anchors[oids] + rng.normal(0.0, 0.5, size=(size, 2))
+            return eng.ingest_batch(zip(oids.tolist(), *xy.T.tolist()))
+
+        # Armed after seeding, so the storms hit the first two rounds.
+        storms.add(FaultSpec(kind="update-storm", times=2))
+        reports = [ingest_round(4 * budget) for _ in range(12)]
+        assert [r.applied for r in reports[:2]] == [0, 0]
+        assert sum(len(r.shed) for r in reports) > 0
+
+        first = subs[0][1]
+        with QueryEngine(
+            eng.fleet(), pool=True, workers=2, default_pf=pf,
+            fault_injector=FaultInjector([FaultSpec(kind="crash", times=1)]),
+        ) as crashed:
+            mid = crashed.query(
+                [Candidate(j, x, y) for j, (x, y) in enumerate(first)],
+                tau=0.7,
+                algorithm="PIN",
+            )
+        assert mid.instrumentation.worker_failures > 0
+        expected, _ = oracle_influences(eng, first, 0.7, pf)
+        assert tuple(mid.influences[j] for j in range(4)) == expected
+
+        for _ in range(4):
+            ingest_round(budget // 2)
+        # One oracle engine for all 40: its table is built once.
+        with QueryEngine(eng.fleet(), default_pf=pf) as oracle:
+            for sid, cands in subs:
+                res = oracle.query(
+                    [Candidate(j, x, y) for j, (x, y) in enumerate(cands)],
+                    tau=0.7,
+                    algorithm="PIN",
+                )
+                expected = tuple(res.influences[j] for j in range(4))
+                assert eng.snapshot(sid).influences == expected
+        assert pool_segments() == []
+        assert_no_orphans()
 
 
 class TestObservability:

@@ -1,6 +1,6 @@
 """Docs health checker: links, API coverage, metric catalog, code refs.
 
-Five checks, all cheap enough for every CI run:
+Six checks, all cheap enough for every CI run:
 
 1. every relative link in ``README.md`` and ``docs/**/*.md`` resolves
    to a file that exists (external ``http(s)``/``mailto`` links and
@@ -18,7 +18,12 @@ Five checks, all cheap enough for every CI run:
 5. every backticked ``repro.…`` dotted name in ``README.md`` and
    ``docs/**/*.md`` (outside fenced code blocks) resolves: its longest
    importable prefix imports and ``getattr`` finds the rest — a
-   deleted module, class or function must not live on in the docs.
+   deleted module, class or function must not live on in the docs;
+6. every repo-relative path in an inline code span, every such
+   ``*.py`` path on a fenced line, and every ``make <target>`` in a
+   code span or at the start of a fenced line exists in the checkout
+   — a deleted script or make target must not live on in the docs
+   either.
 
 Exit status 0 when all pass, 1 with one line per problem otherwise.
 Run as ``PYTHONPATH=src python tools/check_docs.py`` from the repo
@@ -46,15 +51,29 @@ def doc_files() -> list[Path]:
     return [REPO / "README.md", *sorted((REPO / "docs").rglob("*.md"))]
 
 
-def iter_matches(path: Path, pattern: re.Pattern):
-    """Yield ``(line_number, group 1)`` per match outside fenced code."""
-    in_fence = False
+def split_fences(path: Path) -> tuple[str, list[tuple[int, str]]]:
+    """A file's prose, fenced lines blanked, and its fenced lines.
+
+    The prose keeps every line in place, so an offset into it maps to
+    a line number; fence markers belong to neither part.
+    """
+    prose, fenced, in_fence = [], [], False
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if _FENCE.match(line):
             in_fence = not in_fence
-            continue
-        if in_fence:
-            continue
+            prose.append("")
+        elif in_fence:
+            fenced.append((lineno, line))
+            prose.append("")
+        else:
+            prose.append(line)
+    return "\n".join(prose), fenced
+
+
+def iter_matches(path: Path, pattern: re.Pattern):
+    """Yield ``(line_number, group 1)`` per match outside fenced code."""
+    prose, _ = split_fences(path)
+    for lineno, line in enumerate(prose.splitlines(), start=1):
         for match in pattern.finditer(line):
             yield lineno, match.group(1)
 
@@ -191,6 +210,78 @@ def check_code_refs() -> list[str]:
     return problems
 
 
+# An inline code span, which may wrap onto its paragraph's next lines.
+_SPAN = re.compile(r"`([^`\n]+(?:\n[^`\n]+)*)`")
+# `make <target>` inside a code span.
+_MAKE = re.compile(r"\bmake\s+(\w[\w.-]*)")
+# A fenced command line running make.
+_FENCED_MAKE = re.compile(r"^\s*(?:\$\s*)?make\s+(\w[\w.-]*)")
+# A Makefile rule: ``target:``, not a ``:=`` assignment.
+_RULE = re.compile(r"^(\w[\w.-]*)\s*:(?!=)", re.MULTILINE)
+
+
+def make_targets() -> set[str]:
+    """The rule names the repo's ``Makefile`` defines."""
+    return set(_RULE.findall((REPO / "Makefile").read_text()))
+
+
+def repo_path(token: str) -> str | None:
+    """``token`` as a repo-relative path, or ``None`` if it is not one.
+
+    A repo path starts with a top-level entry of the checkout
+    (``src/...``, ``tests/...``, ``BENCH_4.json``), which keeps
+    package-relative names (``engine/session.py``), URL routes
+    (``/v1/query``) and doc-relative names out.  A pytest node id
+    (``tests/test_pool.py::TestX``) keeps its file part.
+    """
+    path = token.split("::", 1)[0]
+    head = path.split("/", 1)[0]
+    if not head or not (REPO / head).exists():
+        return None
+    return path
+
+
+def path_exists(path: str) -> bool:
+    """Whether ``path`` (or, for a glob, at least one match) exists."""
+    if "*" in path:
+        return any(REPO.glob(path))
+    return (REPO / path).exists()
+
+
+def check_repo_refs() -> list[str]:
+    """Return one problem string per named path or make target that is gone."""
+    targets = make_targets()
+    problems = []
+    for md in doc_files():
+        rel = md.relative_to(REPO)
+        prose, fenced = split_fences(md)
+        refs = []
+        for match in _SPAN.finditer(prose):
+            lineno = prose.count("\n", 0, match.start()) + 1
+            text = match.group(1)
+            paths = [p for p in map(repo_path, text.split()) if p]
+            refs.append((lineno, paths, _MAKE.findall(text)))
+        for lineno, line in fenced:
+            paths = [
+                p for p in map(repo_path, line.split())
+                if p and p.endswith(".py")
+            ]
+            refs.append((lineno, paths, _FENCED_MAKE.findall(line)))
+        for lineno, paths, makes in sorted(refs):
+            for path in paths:
+                if not path_exists(path):
+                    problems.append(
+                        f"{rel}:{lineno}: path `{path}` does not exist"
+                    )
+            for target in makes:
+                if target not in targets:
+                    problems.append(
+                        f"{rel}:{lineno}: make target `{target}` "
+                        f"does not exist"
+                    )
+    return problems
+
+
 def main() -> int:
     """Run all checks; print problems; return a process exit code."""
     problems = (
@@ -199,6 +290,7 @@ def main() -> int:
         + check_class_coverage()
         + check_metric_catalog()
         + check_code_refs()
+        + check_repo_refs()
     )
     for problem in problems:
         print(problem)
