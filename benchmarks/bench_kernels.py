@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.influence import (
     batch_log_non_influence,
-    batch_validate_objects,
+    batch_validate_spans,
     influence_threshold_log,
     validate_pair,
 )
@@ -65,10 +65,20 @@ def test_kernel_batch_log_non_influence(benchmark, positions, cand_xy):
     benchmark(batch_log_non_influence, PF, positions, cand_xy)
 
 
-def test_kernel_batch_validate_objects(benchmark):
+def test_kernel_batch_validate_spans(benchmark):
+    # PIN-VO's serving kernel on one 128-object batch of a table export
     rng = np.random.default_rng(2)
-    objects = [rng.uniform(0, 30, size=(40, 2)) for _ in range(128)]
-    benchmark(batch_validate_objects, PF, objects, 15.0, 15.0, LOG_THR)
+    table = ObjectTable(
+        [MovingObject(oid, rng.uniform(0, 30, size=(40, 2)))
+         for oid in range(128)],
+        PF, 0.7,
+    )
+    xy, offsets = table.positions_offsets()
+    span = np.arange(table.live_count)
+    assert span.size == 128
+    benchmark(
+        batch_validate_spans, PF, xy, offsets, span, 15.0, 15.0, LOG_THR
+    )
 
 
 def test_kernel_classification_chunk(benchmark, cand_xy):

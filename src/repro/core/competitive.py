@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from repro.core.base import LocationSelector, candidates_to_array
-from repro.core.influence import batch_log_non_influence, log1m_safe
+from repro.core.influence import batch_log_non_influence, log_non_influence
 from repro.core.minmax_radius import min_max_radius
 from repro.core.result import Instrumentation, LSResult
 from repro.model.candidate import Candidate
@@ -164,15 +164,11 @@ def marginal_influence(
 
     Used by tests; mirrors the definition without any pruning.
     """
-    def log_non_influence_of(x: float, y: float) -> float:
-        d = np.hypot(obj.positions[:, 0] - x, obj.positions[:, 1] - y)
-        return float(np.sum(log1m_safe(pf(d))))
-
-    cand_log = log_non_influence_of(candidate.x, candidate.y)
+    cand_log = log_non_influence(pf, obj.positions, candidate.x, candidate.y)
     if cand_log > math.log1p(-tau):  # Pr < tau
         return False
     best_incumbent = min(
-        (log_non_influence_of(f.x, f.y) for f in facilities),
+        (log_non_influence(pf, obj.positions, f.x, f.y) for f in facilities),
         default=math.inf,
     )
     if best_incumbent == -math.inf:

@@ -43,11 +43,26 @@ def log1m_safe(p: np.ndarray | float):
         return np.log1p(-np.minimum(p, 1.0))
 
 
+def distances(x, y, cx, cy) -> np.ndarray:
+    """``dist(c, p_i) = sqrt(dx² + dy²)`` for position columns ``x``, ``y``.
+
+    The one distance formula of every ``Pr_c(O)`` evaluation, so every
+    path (NA, PIN, PIN-VO, top-k, sketch, subscriptions) rounds a
+    distance the same way.  Broadcasts: column vectors of candidates
+    against row vectors of positions give a ``(k, n)`` matrix.  The
+    scalar kernel writes the same expression with :mod:`math`, which
+    rounds identically.
+    """
+    dx = x - cx
+    dy = y - cy
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def log_non_influence(
     pf: ProbabilityFunction, positions: np.ndarray, cx: float, cy: float
 ) -> float:
     """``Σ log(1 − PF(dist(c, p_i)))`` over all positions (may be −inf)."""
-    d = np.hypot(positions[:, 0] - cx, positions[:, 1] - cy)
+    d = distances(positions[:, 0], positions[:, 1], cx, cy)
     return float(np.sum(log1m_safe(pf(d))))
 
 
@@ -113,8 +128,9 @@ def _validate_scalar(
     n = positions.shape[0]
     s = 0.0
     for i in range(n):
-        d = math.hypot(positions[i, 0] - cx, positions[i, 1] - cy)
-        p = float(pf(d))
+        dx = positions[i, 0] - cx
+        dy = positions[i, 1] - cy
+        p = float(pf(math.sqrt(dx * dx + dy * dy)))
         s += math.log1p(-p) if p < 1.0 else -math.inf
         if counters is not None:
             counters.positions_evaluated += 1
@@ -152,7 +168,7 @@ def _validate_vector(
     s = 0.0
     for start in range(0, n, chunk):
         seg = positions[start : start + chunk]
-        d = np.hypot(seg[:, 0] - cx, seg[:, 1] - cy)
+        d = distances(seg[:, 0], seg[:, 1], cx, cy)
         s += float(np.sum(log1m_safe(pf(d))))
         if counters is not None:
             counters.positions_evaluated += seg.shape[0]
@@ -200,7 +216,7 @@ def batch_validate_objects(
     head_lengths = np.minimum(lengths, head)
     head_xy = np.concatenate(heads, axis=0)
     offsets = np.concatenate([[0], np.cumsum(head_lengths)[:-1]])
-    d = np.hypot(head_xy[:, 0] - cx, head_xy[:, 1] - cy)
+    d = distances(head_xy[:, 0], head_xy[:, 1], cx, cy)
     s_head = np.add.reduceat(log1m_safe(pf(d)), offsets)
     if counters is not None:
         counters.positions_evaluated += int(head_lengths.sum())
@@ -215,7 +231,7 @@ def batch_validate_objects(
         tail_lengths = lengths[idx] - head
         tail_xy = np.concatenate(tails, axis=0)
         tail_offsets = np.concatenate([[0], np.cumsum(tail_lengths)[:-1]])
-        d = np.hypot(tail_xy[:, 0] - cx, tail_xy[:, 1] - cy)
+        d = distances(tail_xy[:, 0], tail_xy[:, 1], cx, cy)
         s_tail = np.add.reduceat(log1m_safe(pf(d)), tail_offsets)
         if counters is not None:
             counters.positions_evaluated += int(tail_lengths.sum())
@@ -223,27 +239,25 @@ def batch_validate_objects(
     return influenced
 
 
-def _gather_segments(
-    positions: np.ndarray, starts: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Rows ``positions[starts[i] : starts[i] + counts[i]]``, concatenated.
+def span_index(
+    starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and segment offsets of concatenated column spans.
 
-    One fancy-indexing gather instead of a Python-level list of slices
-    — the row order (and therefore every downstream float) matches
-    ``np.concatenate([positions[s : s + c] for s, c in ...])`` exactly.
+    Span ``i`` is columns ``starts[i] : starts[i] + counts[i]`` of a
+    ``(2, Σn)`` position block.  Returns the concatenated column
+    indexes — one ``repeat`` plus one ``arange`` instead of a list of
+    slices, in span order — and each span's offset in the gathered
+    result, as ``np.add.reduceat`` wants them.
     """
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty((0, 2), dtype=positions.dtype)
-    seg_ids = np.repeat(np.arange(counts.shape[0]), counts)
-    prefix = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    local = np.arange(total) - prefix[seg_ids]
-    return positions[starts[seg_ids] + local]
+    prefix = np.cumsum(counts) - counts
+    index = np.repeat(starts - prefix, counts) + np.arange(int(counts.sum()))
+    return index, prefix
 
 
 def batch_validate_spans(
     pf: ProbabilityFunction,
-    positions: np.ndarray,
+    xy: np.ndarray,
     offsets: np.ndarray,
     idx: np.ndarray,
     cx: float,
@@ -252,22 +266,24 @@ def batch_validate_spans(
     counters: Instrumentation | None = None,
     head: int = 16,
 ) -> np.ndarray:
-    """Columnar :func:`batch_validate_objects` over a flat position block.
+    """Columnar :func:`batch_validate_objects` over an x/y position block.
 
-    ``positions``/``offsets`` are a table's columnar export (object
-    ``i`` owns rows ``positions[offsets[i]:offsets[i+1]]``) and ``idx``
-    selects the objects to validate — the verification-set span of one
+    ``xy``/``offsets`` are a table's columnar export: ``xy`` is the
+    ``(2, Σn)`` block whose rows are the x and y columns, and object
+    ``i`` owns columns ``offsets[i]:offsets[i+1]``.  ``idx`` selects
+    the objects to validate — the verification-set span of one
     candidate.  Runs the same two-phase Strategy-2 evaluation without
     ever materialising per-object arrays or entry wrappers, so pool
     workers validate directly against the attached shared segment.
-    Bit-identical to the list-based kernel: the gathered row order,
-    the reduceat segmentation, and every counter match exactly.
+    Bit-identical to the list-based kernel: the gathered position
+    order, the reduceat segmentation, and every counter match exactly.
 
     Returns a boolean array aligned with ``idx``.
     """
     k = int(idx.shape[0])
     if k == 0:
         return np.zeros(0, dtype=bool)
+    x, y = xy
     starts = offsets[idx]
     lengths = offsets[idx + 1] - starts
     if counters is not None:
@@ -275,12 +291,11 @@ def batch_validate_spans(
         counters.positions_total += int(lengths.sum())
 
     head_lengths = np.minimum(lengths, head)
-    head_xy = _gather_segments(positions, starts, head_lengths)
-    seg_offsets = np.concatenate([[0], np.cumsum(head_lengths)[:-1]])
-    d = np.hypot(head_xy[:, 0] - cx, head_xy[:, 1] - cy)
+    cols, seg_offsets = span_index(starts, head_lengths)
+    d = distances(np.take(x, cols), np.take(y, cols), cx, cy)
     s_head = np.add.reduceat(log1m_safe(pf(d)), seg_offsets)
     if counters is not None:
-        counters.positions_evaluated += int(head_lengths.sum())
+        counters.positions_evaluated += cols.size
 
     influenced = s_head <= log_threshold
     undecided = ~influenced & (lengths > head)
@@ -290,13 +305,11 @@ def batch_validate_spans(
         )
     if np.any(undecided):
         u = np.nonzero(undecided)[0]
-        tail_lengths = lengths[u] - head
-        tail_xy = _gather_segments(positions, starts[u] + head, tail_lengths)
-        tail_offsets = np.concatenate([[0], np.cumsum(tail_lengths)[:-1]])
-        d = np.hypot(tail_xy[:, 0] - cx, tail_xy[:, 1] - cy)
+        cols, tail_offsets = span_index(starts[u] + head, lengths[u] - head)
+        d = distances(np.take(x, cols), np.take(y, cols), cx, cy)
         s_tail = np.add.reduceat(log1m_safe(pf(d)), tail_offsets)
         if counters is not None:
-            counters.positions_evaluated += int(tail_lengths.sum())
+            counters.positions_evaluated += cols.size
         influenced[u] = (s_head[u] + s_tail) <= log_threshold
     return influenced
 
@@ -312,7 +325,8 @@ def batch_log_non_influence(
     is ``(k,)``.  Used by PINOCCHIO's validation phase, which resolves
     all surviving candidates of one object in a single matrix kernel.
     """
-    dx = cand_xy[:, 0][:, None] - positions[:, 0][None, :]
-    dy = cand_xy[:, 1][:, None] - positions[:, 1][None, :]
-    p = pf(np.hypot(dx, dy))
-    return np.sum(log1m_safe(p), axis=1)
+    d = distances(
+        positions[:, 0][None, :], positions[:, 1][None, :],
+        cand_xy[:, 0][:, None], cand_xy[:, 1][:, None],
+    )
+    return np.sum(log1m_safe(pf(d)), axis=1)

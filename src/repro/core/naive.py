@@ -14,14 +14,15 @@ badly implemented.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.base import LocationSelector, candidates_to_array
 from repro.core.influence import (
+    cumulative_probability,
+    distances,
     influence_threshold_log,
     log1m_safe,
+    log_non_influence,
     validate_pair,
 )
 from repro.core.result import Instrumentation, LSResult, full_table_result
@@ -74,18 +75,16 @@ class NaiveAlgorithm(LocationSelector):
         (bit-identical to a full-width call).  NA has no pruning phase:
         all its time lands in ``validation_seconds``.
         """
-        all_xy = np.concatenate([o.positions for o in objects], axis=0)
+        x, y = np.concatenate([o.positions.T for o in objects], axis=1)
         lengths = np.array([o.n_positions for o in objects])
         offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
         log_threshold = influence_threshold_log(tau)
         m = cand_xy.shape[0]
         influence = np.zeros(m, dtype=int)
-        n_total = all_xy.shape[0]
+        n_total = x.shape[0]
         with counters.phase("validation"):
             for j in range(m):
-                d = np.hypot(
-                    all_xy[:, 0] - cand_xy[j, 0], all_xy[:, 1] - cand_xy[j, 1]
-                )
+                d = distances(x, y, cand_xy[j, 0], cand_xy[j, 1])
                 logs = log1m_safe(pf(d))
                 per_object = np.add.reduceat(logs, offsets)
                 influence[j] = int(np.count_nonzero(per_object <= log_threshold))
@@ -132,18 +131,14 @@ def exact_influence(
 ) -> int:
     """Influence of a single location, exhaustively (test helper)."""
     log_threshold = influence_threshold_log(tau)
-    count = 0
-    for obj in objects:
-        d = np.hypot(obj.positions[:, 0] - cand_x, obj.positions[:, 1] - cand_y)
-        s = float(np.sum(log1m_safe(pf(d))))
-        if s <= log_threshold:
-            count += 1
-    return count
+    return sum(
+        log_non_influence(pf, obj.positions, cand_x, cand_y) <= log_threshold
+        for obj in objects
+    )
 
 
 def exact_probability(
     obj: MovingObject, cand_x: float, cand_y: float, pf: ProbabilityFunction
 ) -> float:
     """``Pr_c(O)`` for one pair (test helper)."""
-    d = np.hypot(obj.positions[:, 0] - cand_x, obj.positions[:, 1] - cand_y)
-    return -math.expm1(float(np.sum(log1m_safe(pf(d)))))
+    return cumulative_probability(pf, obj.positions, cand_x, cand_y)

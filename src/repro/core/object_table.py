@@ -54,10 +54,12 @@ class ColumnarTable:
     five dense arrays so the whole structure can live in one
     shared-memory block and be rebuilt zero-copy in another process:
 
-    * ``positions`` — the concatenated ``(Σn, 2)`` float64 position
-      block of every (live) object, in entry order,
+    * ``xy`` — the C-contiguous ``(2, Σn)`` float64 position block
+      of every (live) object, in entry order: row 0 holds the x
+      column, row 1 the y column, so a kernel gathers each from one
+      contiguous array,
     * ``offsets`` — ``(count + 1,)`` int64 prefix offsets; object ``i``
-      owns rows ``positions[offsets[i]:offsets[i+1]]``,
+      owns columns ``xy[:, offsets[i]:offsets[i+1]]``,
     * ``object_ids`` — ``(count,)`` int64,
     * ``mbrs`` — ``(count, 4)`` float64 rows ``(min_x, min_y, max_x,
       max_y)``, exported rather than recomputed so a rebuild is pure
@@ -71,7 +73,7 @@ class ColumnarTable:
     function of them.
     """
 
-    positions: np.ndarray
+    xy: np.ndarray
     offsets: np.ndarray
     object_ids: np.ndarray
     mbrs: np.ndarray
@@ -86,7 +88,7 @@ class ColumnarTable:
     def arrays(self) -> dict[str, np.ndarray]:
         """Name → array, for serialisation into a shared segment."""
         out = {
-            "positions": self.positions,
+            "xy": self.xy,
             "offsets": self.offsets,
             "object_ids": self.object_ids,
             "mbrs": self.mbrs,
@@ -100,8 +102,8 @@ class ColumnarTable:
         return sum(a.nbytes for a in self.arrays().values())
 
     def object_positions(self, i: int) -> np.ndarray:
-        """Object ``i``'s ``(n, 2)`` view into the position block."""
-        return self.positions[self.offsets[i] : self.offsets[i + 1]]
+        """Object ``i``'s zero-copy ``(n, 2)`` view into the block."""
+        return self.xy[:, self.offsets[i] : self.offsets[i + 1]].T
 
 
 def _columnar_from_parts(
@@ -116,13 +118,14 @@ def _columnar_from_parts(
     )
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    positions = (
-        np.concatenate([obj.positions for obj, _ in objects_mbrs], axis=0)
-        if count
-        else np.empty((0, 2), dtype=np.float64)
-    )
+    xy = np.empty((2, int(offsets[-1])), dtype=np.float64)
+    if count:
+        # one pass: the rows land straight in the transposed block
+        np.concatenate(
+            [obj.positions for obj, _ in objects_mbrs], axis=0, out=xy.T
+        )
     return ColumnarTable(
-        positions=np.ascontiguousarray(positions, dtype=np.float64),
+        xy=xy,
         offsets=offsets,
         object_ids=np.array(
             [obj.object_id for obj, _ in objects_mbrs], dtype=np.int64
@@ -145,7 +148,7 @@ def fleet_to_columnar(objects: Sequence[MovingObject]) -> ColumnarTable:
 
 
 def fleet_from_columnar(cols: ColumnarTable) -> list[MovingObject]:
-    """Rebuild the fleet as zero-copy views into ``cols.positions``."""
+    """Rebuild the fleet as zero-copy views into ``cols.xy``."""
     objects = []
     for i in range(cols.count):
         view = cols.object_positions(i)
@@ -171,7 +174,7 @@ class ObjectTable:
       the R-tree path, the scalar kernels, and everything that wants
       Python-level access, and
     * the **columnar** arrays — ``(count, 4)`` MBRs, ``(count,)``
-      radii, and the flat position block — which the broadcast
+      radii, and the ``(2, Σn)`` position block — which the broadcast
       classification and batched validation kernels read directly.
 
     Both are cached: the columnar arrays are built at most once per
@@ -255,14 +258,14 @@ class ObjectTable:
         return self._mbrs, self._radii
 
     def positions_offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The flat ``(Σn, 2)`` position block and its prefix offsets.
+        """The ``(2, Σn)`` x/y position block and its prefix offsets.
 
-        Object ``i`` owns ``positions[offsets[i]:offsets[i+1]]``; built
-        (and cached) via :meth:`to_columnar`, so on a worker this is a
-        pure read of the attached shared segment.
+        Object ``i`` owns columns ``xy[:, offsets[i]:offsets[i+1]]``;
+        built (and cached) via :meth:`to_columnar`, so on a worker this
+        is a pure read of the attached shared segment.
         """
         cols = self.to_columnar()
-        return cols.positions, cols.offsets
+        return cols.xy, cols.offsets
 
     def to_columnar(self) -> ColumnarTable:
         """Flatten the live entries into a :class:`ColumnarTable`.
@@ -297,7 +300,7 @@ class ObjectTable:
         The columnar arrays (which may live in shared memory) become
         the table's primary representation: the broadcast and batched
         kernels read them directly, and per-object ``ObjectEntry``
-        wrappers — zero-copy read-only views into ``cols.positions`` —
+        wrappers — zero-copy read-only views into ``cols.xy`` —
         are only materialised if a legacy path asks for ``entries``.
         MBRs and radii are read back rather than recomputed, and the
         dead-object count is preserved.  Requires ``cols.radii`` (a

@@ -110,7 +110,7 @@ class Pinocchio(LocationSelector):
                             pf, log_threshold, influence, counters,
                         )
         else:
-            positions, offsets = table.positions_offsets()
+            columns = table.to_columnar()
             for rows, cols, ia, band in classify_table_chunks(table, cand_xy):
                 ia_count = int(np.count_nonzero(ia))
                 band_count = int(np.count_nonzero(band))
@@ -123,7 +123,7 @@ class Pinocchio(LocationSelector):
                 with counters.phase("validation"):
                     for row, maybe in work:
                         self._validate_band(
-                            positions[offsets[row] : offsets[row + 1]],
+                            columns.object_positions(row),
                             maybe, cand_xy, pf,
                             log_threshold, influence, counters,
                         )
@@ -146,7 +146,7 @@ class Pinocchio(LocationSelector):
         """Exact validation of one object's surviving candidate band.
 
         ``positions`` is the object's ``(n, 2)`` array — on the scan
-        path a view into the table's flat columnar block.
+        path a view into the table's columnar x/y block.
         """
         if self.kernel == "vector":
             # One matrix kernel resolves the whole band of this object.

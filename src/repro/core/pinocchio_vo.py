@@ -23,7 +23,7 @@ Bookkeeping notes (all behaviour-preserving w.r.t. Algorithm 3):
   this is sound and strictly tightens Strategy 1 from the first pop.
 * In the default vector kernel, one candidate's verification set is
   validated in object batches with a two-phase early stop, gathered
-  columnar from the table's flat position block
+  columnar from the table's x/y position block
   (:func:`repro.core.influence.batch_validate_spans`); Strategy 1
   aborts at batch boundaries.  The scalar kernel follows the paper's
   per-object/per-position loop exactly.
@@ -265,15 +265,15 @@ class PinocchioVO(LocationSelector):
         """
         if self.kernel == "vector":
             # Columnar Strategy-2 kernel: each batch of the span is
-            # gathered straight from the table's flat position block —
+            # gathered straight from the table's x/y position block —
             # no per-object arrays, no entry wrappers (pool workers
             # validate against the attached shared segment as-is).
-            positions, offsets = table.positions_offsets()
+            xy, offsets = table.positions_offsets()
             for start in range(0, vs.size, self.BATCH_OBJECTS):
                 batch = vs[start : start + self.BATCH_OBJECTS]
                 influenced = batch_validate_spans(
                     pf,
-                    positions,
+                    xy,
                     offsets,
                     batch,
                     cx,

@@ -57,7 +57,7 @@ def influence_bitsets(
     counters.pairs_total = r * m
     log_threshold = influence_threshold_log(tau)
     masks = np.zeros((m, r), dtype=bool)
-    positions, offsets = table.positions_offsets()
+    columns = table.to_columnar()
     for rows, cols, ia, band in classify_table_chunks(table, cand_xy):
         counters.pairs_pruned_ia += int(np.count_nonzero(ia))
         counters.pairs_pruned_nib += int(
@@ -65,7 +65,7 @@ def influence_bitsets(
         )
         masks[np.ix_(cols, rows)] = ia.T
         for row, maybe in band_by_row(rows, cols, band):
-            object_xy = positions[offsets[row] : offsets[row + 1]]
+            object_xy = columns.object_positions(row)
             logs = batch_log_non_influence(pf, object_xy, cand_xy[maybe])
             masks[maybe[logs <= log_threshold], row] = True
             counters.pairs_validated += maybe.size

@@ -47,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.influence import (
-    _gather_segments,
     batch_validate_spans,
     influence_threshold_log,
+    span_index,
 )
 from repro.core.object_table import ObjectTable
 from repro.core.pruning import classify_span
@@ -121,7 +121,7 @@ class InfluenceSketch:
         seed: int,
         delta: float,
         sampled_ids: np.ndarray,
-        positions: np.ndarray,
+        xy: np.ndarray,
         offsets: np.ndarray,
         mbrs: np.ndarray,
         radii: np.ndarray,
@@ -134,7 +134,9 @@ class InfluenceSketch:
         self.seed = int(seed)
         self.delta = float(delta)
         self.sampled_ids = sampled_ids
-        self.positions = positions
+        #: the sampled objects' ``(2, Σn)`` x/y block (object ``i``
+        #: owns columns ``offsets[i]:offsets[i+1]``)
+        self.xy = xy
         self.offsets = offsets
         self.mbrs = mbrs
         self.radii = radii
@@ -176,9 +178,7 @@ class InfluenceSketch:
             sel = np.sort(np.argsort(hashes, kind="stable")[:k_eff])
         starts = cols.offsets[sel]
         lengths = cols.offsets[sel + 1] - starts
-        positions = _gather_segments(cols.positions, starts, lengths)
-        offsets = np.zeros(k_eff + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
+        index, prefix = span_index(starts, lengths)
         return cls(
             pf=table.pf,
             tau=table.tau,
@@ -187,8 +187,8 @@ class InfluenceSketch:
             seed=seed,
             delta=delta,
             sampled_ids=np.asarray(cols.object_ids)[sel].copy(),
-            positions=positions,
-            offsets=offsets,
+            xy=np.take(cols.xy, index, axis=1),
+            offsets=np.append(prefix, index.size),
             mbrs=np.ascontiguousarray(cols.mbrs[sel]),
             radii=np.ascontiguousarray(cols.radii[sel]),
         )
@@ -202,7 +202,7 @@ class InfluenceSketch:
     def nbytes(self) -> int:
         """Bytes held by the sketch arrays (prices LRU cache entries)."""
         return int(
-            self.positions.nbytes + self.offsets.nbytes
+            self.xy.nbytes + self.offsets.nbytes
             + self.mbrs.nbytes + self.radii.nbytes
             + self.sampled_ids.nbytes
         )
@@ -252,7 +252,7 @@ class InfluenceSketch:
             if idx.size == 0:
                 continue
             influenced = batch_validate_spans(
-                self.pf, self.positions, self.offsets, idx,
+                self.pf, self.xy, self.offsets, idx,
                 float(cand_xy[j, 0]), float(cand_xy[j, 1]),
                 self.log_threshold, counters,
             )

@@ -88,7 +88,7 @@ class TopKPrimeLS(LocationSelector):
         fully_validated: dict[int, int] = {}
         heap = [(-int(max_inf[j]), -int(min_inf[j]), j) for j in range(m)]
         heapq.heapify(heap)
-        positions, offsets = table.positions_offsets()
+        xy, offsets = table.positions_offsets()
 
         while heap:
             _, _, j = heapq.heappop(heap)
@@ -103,7 +103,7 @@ class TopKPrimeLS(LocationSelector):
                 batch = vs[start : start + self.BATCH_OBJECTS]
                 influenced = batch_validate_spans(
                     pf,
-                    positions,
+                    xy,
                     offsets,
                     batch,
                     cand_xy[j, 0],

@@ -29,7 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.base import candidates_to_array
-from repro.core.influence import influence_threshold_log, log1m_safe
+from repro.core.influence import (
+    distances,
+    influence_threshold_log,
+    log1m_safe,
+)
 from repro.core.result import Instrumentation
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -106,7 +110,7 @@ class UncertainPrimeLS:
             # For each candidate: log non-influence per world.
             flat = worlds.reshape(-1, 2)
             for j in range(m):
-                d = np.hypot(flat[:, 0] - cand_xy[j, 0], flat[:, 1] - cand_xy[j, 1])
+                d = distances(flat[:, 0], flat[:, 1], cand_xy[j, 0], cand_xy[j, 1])
                 logs = log1m_safe(pf(d)).reshape(self.worlds, -1).sum(axis=1)
                 hits[j, i] = int(np.count_nonzero(logs <= log_threshold))
                 counters.positions_evaluated += flat.shape[0]

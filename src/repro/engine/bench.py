@@ -44,6 +44,9 @@ from repro.prob import PowerLawPF
 
 #: τ values the workload cycles through — three recurring "tenants"
 TAUS = (0.5, 0.7, 0.8)
+#: size and seed of the ``gowalla_like`` world every run serves
+SERVE_BENCH_SCALE = 0.1
+SERVE_BENCH_SEED = 11
 
 
 @dataclass
@@ -176,16 +179,11 @@ def run_serve_bench(
     n_queries: int = 12,
     workers: int = 0,
     algorithm: str = "PIN-VO",
-    scale: float = 0.1,
-    seed: int = 11,
-    metrics_path=None,
     deadline_seconds: float | None = None,
     faults: Sequence[FaultSpec] = (),
     pool: bool = False,
     batch: bool = False,
-    distinct_candidates: bool | None = None,
     max_inflight: int | None = None,
-    max_queue_depth: int | None = None,
     shed_policy: str = "reject",
     breaker_threshold: int | None = None,
     trace_path=None,
@@ -204,21 +202,22 @@ def run_serve_bench(
     worker pool (``workers >= 2``); ``batch`` admits all warm
     queries through one :meth:`QueryEngine.query_batch` round (each
     query's latency is then its share of the batch wall time).  Pool
-    and batch runs default to a *distinct* candidate set per query
-    (``distinct_candidates``): with one shared set every warm PIN-VO
-    query is a pruning-cache hit that never dispatches a span, which
-    would make dispatch-path comparisons meaningless.
+    and batch runs draw a *distinct* candidate set per query: with one
+    shared set every warm PIN-VO query is a pruning-cache hit that
+    never dispatches a span, which would make dispatch-path
+    comparisons meaningless.
 
     ``faults`` arms the warm engine's fault injector (the cold path
     stays fault-free, so the delta is pure supervision overhead), and
     ``deadline_seconds`` bounds every warm query — deadline overruns
     are counted, not raised.
 
-    ``max_inflight``/``max_queue_depth``/``shed_policy`` arm the warm
-    engine's admission control; a shed query (which only happens under
-    ``batch`` admission rounds or an injected ``overload`` fault —
-    sequential queries never exceed one in flight) is counted, its
-    near-zero shed time recorded, and the bench moves on.
+    ``max_inflight``/``shed_policy`` arm the warm engine's admission
+    control (the queue is as deep as ``max_inflight``); a shed query
+    (which only happens under ``batch`` admission rounds or an
+    injected ``overload`` fault — sequential queries never exceed one
+    in flight) is counted, its near-zero shed time recorded, and the
+    bench moves on.
     ``breaker_threshold`` overrides the degradation ladder's
     consecutive-failure trip point.  The trailing ``overload:`` summary
     line reports queries shed, breaker trips, cache evictions, and the
@@ -239,12 +238,10 @@ def run_serve_bench(
     sketch instead — labelled, bounded, and counted on the trailing
     ``approx:`` summary line.
     """
-    world = gowalla_like(scale=scale, seed=seed)
+    world = gowalla_like(scale=SERVE_BENCH_SCALE, seed=SERVE_BENCH_SEED)
     objects = world.dataset.objects
-    rng = np.random.default_rng(seed)
-    if distinct_candidates is None:
-        distinct_candidates = pool or batch
-    if distinct_candidates:
+    rng = np.random.default_rng(SERVE_BENCH_SEED)
+    if pool or batch:
         cand_sets = [
             world.dataset.sample_candidates(24, rng)[0]
             for _ in range(n_queries)
@@ -283,10 +280,8 @@ def run_serve_bench(
         objects,
         workers=workers,
         pool=pool,
-        metrics_path=metrics_path,
         fault_injector=injector,
         max_inflight=max_inflight,
-        max_queue_depth=max_queue_depth,
         shed_policy=shed_policy,
         breaker=(
             BreakerConfig(failure_threshold=breaker_threshold)

@@ -228,7 +228,7 @@ def _attach_columnar(shm: SharedMemory, meta: dict) -> ColumnarTable:
         view.setflags(write=False)
         views[key] = view
     return ColumnarTable(
-        positions=views["positions"],
+        xy=views["xy"],
         offsets=views["offsets"],
         object_ids=views["object_ids"],
         mbrs=views["mbrs"],

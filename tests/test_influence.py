@@ -257,11 +257,12 @@ class TestBatchValidateSpans:
 
     @staticmethod
     def flat_block(objects):
-        positions = np.concatenate(objects, axis=0)
+        """The ``(2, Σn)`` x/y block and offsets of ``(n, 2)`` objects."""
+        xy = np.ascontiguousarray(np.concatenate(objects, axis=0).T)
         lengths = np.array([o.shape[0] for o in objects], dtype=np.int64)
         offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        return positions, offsets
+        return xy, offsets
 
     @settings(max_examples=30, deadline=None)
     @given(

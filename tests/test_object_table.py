@@ -103,11 +103,19 @@ class TestColumnarCaching:
 
     def test_positions_offsets_cover_entries(self, pf, rng):
         table = ObjectTable(make_objects(rng, 9, n_range=(1, 7)), pf, 0.7)
-        positions, offsets = table.positions_offsets()
+        xy, offsets = table.positions_offsets()
+        # One C-contiguous block whose rows are the x and y columns.
+        assert xy.dtype == np.float64
+        assert xy.shape == (2, offsets[-1])
+        assert xy.flags.c_contiguous
+        cols = table.to_columnar()
         for i, e in enumerate(table.entries):
             np.testing.assert_array_equal(
-                positions[offsets[i] : offsets[i + 1]], e.obj.positions
+                xy[:, offsets[i] : offsets[i + 1]].T, e.obj.positions
             )
+            view = cols.object_positions(i)
+            np.testing.assert_array_equal(view, e.obj.positions)
+            assert np.shares_memory(view, xy)
 
     def test_from_columnar_defers_entry_materialisation(self, pf, rng):
         table = ObjectTable(make_objects(rng, 10, n_range=(1, 6)), pf, 0.7)

@@ -250,6 +250,31 @@ class TestWorkerRebuild:
         assert not rebuilt.entries_materialised
         assert rebuilt._radius_cache is None
 
+    def test_segment_round_trip_keeps_the_column_block(self, world, pf):
+        from repro.core.object_table import ObjectTable
+        from repro.engine.pool import _attach_columnar, _pack_segment
+
+        cols = ObjectTable(world, pf, 0.7).to_columnar()
+        shm, meta = _pack_segment(cols)
+        try:
+            attached = _attach_columnar(shm, meta)
+            want_arrays, got_arrays = cols.arrays(), attached.arrays()
+            assert got_arrays.keys() == want_arrays.keys()
+            for name, want in want_arrays.items():
+                got = got_arrays[name]
+                assert not got.flags.writeable, name
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes(), name
+            assert attached.xy.shape == (2, int(cols.offsets[-1]))
+            assert attached.xy.flags.c_contiguous
+            x, y = attached.xy
+            assert x.flags.c_contiguous and y.flags.c_contiguous
+            assert attached.dead_objects == cols.dead_objects
+            del attached, got_arrays, got, x, y
+            shm.close()
+        finally:
+            shm.unlink()
+
     def test_columnar_spans_keep_shm_clean(self, world, candidates, pf):
         with pooled_engine(world) as engine:
             for algorithm in ("PIN", "PIN-VO"):

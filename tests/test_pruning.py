@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import pinocchio_vo
+from repro.core.base import candidates_to_array
 from repro.core.naive import NaiveAlgorithm
 from repro.core.object_table import ObjectTable
 from repro.core.pinocchio import Pinocchio
@@ -23,6 +24,8 @@ from repro.core.pruning import (
     nib_boxes,
 )
 from repro.core.result import Instrumentation
+from repro.core.sketch import InfluenceSketch
+from repro.engine.pool import _attach_columnar, _pack_segment
 from repro.index import RTree
 from repro.model import MovingObject
 from repro.prob import LogsigPF, PowerLawPF
@@ -440,6 +443,27 @@ class TestGuardBand:
                     [obj], [cand], pf, tau
                 )
                 assert got.best_influence == pair.best_influence, use_rtree
+        # The position block's other readers: PIN over a table rebuilt
+        # from the pool's shared segment (the "pin" span path), and an
+        # exhaustive sketch.
+        cand_xy = candidates_to_array(candidates)
+        expected = [want.influences[j] for j in range(len(candidates))]
+        table = ObjectTable(objects, pf, tau)
+        shm, meta = _pack_segment(table.to_columnar())
+        try:
+            attached = ObjectTable.from_columnar(
+                _attach_columnar(shm, meta), pf, tau
+            )
+            got = Pinocchio().compute_influence(
+                attached, cand_xy, pf, tau, Instrumentation()
+            )
+            del attached
+            shm.close()
+        finally:
+            shm.unlink()
+        assert got.tolist() == expected
+        sketch = InfluenceSketch.build(table, k=len(objects))
+        assert sketch.estimate_many(cand_xy).tolist() == expected
 
 
 class TestEdgeCases:

@@ -203,7 +203,7 @@ def test_nbytes_prices_the_arrays():
     table = ObjectTable(objects, PowerLawPF(), TAU)
     sketch = InfluenceSketch.build(table, k=32)
     expected = (
-        sketch.positions.nbytes + sketch.offsets.nbytes
+        sketch.xy.nbytes + sketch.offsets.nbytes
         + sketch.mbrs.nbytes + sketch.radii.nbytes
         + sketch.sampled_ids.nbytes
     )
