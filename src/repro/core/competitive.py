@@ -19,7 +19,10 @@ The solver precomputes each object's best incumbent probability once
 (one pass over facilities), turning the marginal test into a
 per-object *effective threshold* ``τ_O = max(τ, bestIncumbent_O)``
 — at which point the standard machinery applies per object with its own
-threshold.  Pruning uses each object's ``minMaxRadius(τ_O, n)``.
+threshold.  Pruning uses each object's ``minMaxRadius(τ_O, n)`` in one
+guarded :func:`repro.core.pruning.classify_span` call over every live
+object, and band pairs are validated against each object's own
+``log(1 − τ_O)``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 from repro.core.base import LocationSelector, candidates_to_array
 from repro.core.influence import batch_log_non_influence, log_non_influence
 from repro.core.minmax_radius import min_max_radius
+from repro.core.pruning import band_by_row, classify_span
 from repro.core.result import Instrumentation, LSResult
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -57,7 +61,6 @@ class CompetitivePrimeLS(LocationSelector):
         counters = Instrumentation()
         cand_xy = candidates_to_array(candidates)
         m = cand_xy.shape[0]
-        counters.pairs_total = len(objects) * m
 
         # Per-object effective log threshold:
         # log(1 − max(τ, best incumbent probability)).
@@ -66,7 +69,9 @@ class CompetitivePrimeLS(LocationSelector):
             if self.facilities
             else np.empty((0, 2))
         )
-        influence = np.zeros(m, dtype=int)
+        live: list[MovingObject] = []
+        log_thresholds: list[float] = []
+        radii: list[float] = []
         for obj in objects:
             log_thr = self._effective_log_threshold(
                 obj, incumbent_xy, pf, tau, counters
@@ -80,26 +85,29 @@ class CompetitivePrimeLS(LocationSelector):
             if radius is None:
                 counters.dead_objects += 1
                 continue
-            mbr = obj.mbr
-            max_d = mbr.max_dist_many(cand_xy)
-            min_d = mbr.min_dist_many(cand_xy)
-            ia = max_d <= radius
-            band = ~ia & (min_d <= radius)
-            counters.pairs_pruned_ia += int(np.count_nonzero(ia))
-            counters.pairs_pruned_nib += int(
-                m - np.count_nonzero(ia) - np.count_nonzero(band)
-            )
-            influence[ia] += 1
-            band_idx = np.nonzero(band)[0]
-            if band_idx.size:
-                logs = batch_log_non_influence(
-                    pf, obj.positions, cand_xy[band_idx]
-                )
-                influence[band_idx[logs <= log_thr]] += 1
-                counters.pairs_validated += band_idx.size
-                n = obj.n_positions
-                counters.positions_total += n * band_idx.size
-                counters.positions_evaluated += n * band_idx.size
+            live.append(obj)
+            log_thresholds.append(log_thr)
+            radii.append(radius)
+        counters.pairs_total = len(live) * m
+        # One guarded IA/NIB split over every live object at its own
+        # effective radius.
+        mbrs = np.array(
+            [obj.mbr.as_tuple() for obj in live], dtype=np.float64
+        ).reshape(len(live), 4)
+        ia, band = classify_span(mbrs, np.array(radii, dtype=np.float64), cand_xy)
+        ia_count = int(np.count_nonzero(ia))
+        band_count = int(np.count_nonzero(band))
+        counters.pairs_pruned_ia += ia_count
+        counters.pairs_pruned_nib += len(live) * m - ia_count - band_count
+        influence = ia.sum(axis=0)
+        for i, maybe in band_by_row(band):
+            obj = live[i]
+            logs = batch_log_non_influence(pf, obj.positions, cand_xy[maybe])
+            influence[maybe[logs <= log_thresholds[i]]] += 1
+            counters.pairs_validated += maybe.size
+            n = obj.n_positions
+            counters.positions_total += n * maybe.size
+            counters.positions_evaluated += n * maybe.size
         influences = {j: int(influence[j]) for j in range(m)}
         best_idx = max(influences, key=lambda idx: (influences[idx], -idx))
         return LSResult(

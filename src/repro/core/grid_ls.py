@@ -7,17 +7,22 @@ PRIME-LS over a *discrete* candidate set, yielding a third exact solver
 with coarser pruning granularity than PINOCCHIO's per-object rules:
 
 * candidates are bucketed into ``g × g`` grid cells;
-* per (cell, object), rectangle-to-rectangle ``minDist``/``maxDist``
-  against the object's MBR give *cell-level* IA/NIB verdicts — an
-  upper and a certified lower influence bound shared by every
-  candidate in the cell;
-* cells are processed by decreasing upper bound; candidates inside are
-  resolved exactly (batch kernel); processing stops when the best
-  exact influence matches the remaining cells' upper bounds.
+* a cell's influence upper bound, shared by every candidate in it, is
+  the number of objects whose padded NIB box
+  (:func:`repro.core.pruning.nib_boxes`) meets the cell's bounding
+  box — one vectorised count per cell;
+* cells are processed by decreasing upper bound; a cell's candidates
+  are resolved exactly by PINOCCHIO's influence pass
+  (:meth:`repro.core.pinocchio.Pinocchio.compute_influence`), and
+  processing stops when the best exact influence matches the remaining
+  cells' upper bounds.
 
-Exactness: a cell's upper bound dominates each member candidate's true
-influence (Theorem 2 applied to the whole cell), so the stop rule never
-discards the optimum — asserted against NA in the tests.
+Exactness: the pass NIB-prunes every candidate outside an object's
+padded box (the :func:`~repro.core.pruning.nib_boxes` proof), so only
+objects whose box meets the cell can count toward a member's
+influence; the upper bound dominates each member's exact influence and
+the stop rule never discards the optimum — asserted against NA in the
+tests.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ import math
 import numpy as np
 
 from repro.core.base import LocationSelector, candidates_to_array
-from repro.core.influence import batch_log_non_influence, influence_threshold_log
 from repro.core.object_table import ObjectTable
+from repro.core.pinocchio import Pinocchio
+from repro.core.pruning import nib_boxes
 from repro.core.result import Instrumentation, LSResult
-from repro.geo.mbr import MBR
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
 from repro.prob.base import ProbabilityFunction
@@ -57,30 +62,33 @@ class GridPartitionLS(LocationSelector):
         table = ObjectTable(objects, pf, tau)
         counters.dead_objects = table.dead_objects
         cand_xy = candidates_to_array(candidates)
-        m = cand_xy.shape[0]
-        counters.pairs_total = table.live_count * m
-        log_threshold = influence_threshold_log(tau)
+        counters.pairs_total = table.live_count * cand_xy.shape[0]
 
         cells = self._bucket_candidates(cand_xy)
-        bounds = [
-            self._cell_bounds(cell_mbr, table) for cell_mbr, _ in cells
-        ]
+        boxes = nib_boxes(*table.mbr_radius_arrays())
+        upper = []
+        for members in cells:
+            lo = cand_xy[members].min(axis=0)
+            hi = cand_xy[members].max(axis=0)
+            meets = np.all(boxes[:, :2] <= hi, axis=1) & np.all(
+                boxes[:, 2:] >= lo, axis=1
+            )
+            upper.append(int(np.count_nonzero(meets)))
 
+        solver = Pinocchio()
         best_idx = 0
         best_influence = -1
-        order = sorted(
-            range(len(cells)), key=lambda c: bounds[c][1], reverse=True
-        )
-        for c in order:
-            lower, upper = bounds[c]
-            if upper <= best_influence:
+        order = sorted(range(len(cells)), key=lambda c: upper[c], reverse=True)
+        for rank, c in enumerate(order):
+            if upper[c] <= best_influence:
                 # No candidate in this (or any later) cell can win.
-                remaining = [cells[i][1].size for i in order[order.index(c):]]
-                counters.candidates_skipped_strategy1 += int(np.sum(remaining))
+                counters.candidates_skipped_strategy1 += sum(
+                    cells[i].size for i in order[rank:]
+                )
                 break
-            cell_mbr, members = cells[c]
-            influences = self._resolve_cell(
-                cell_mbr, members, cand_xy, table, pf, log_threshold, counters
+            members = cells[c]
+            influences = solver.compute_influence(
+                table, cand_xy[members], pf, tau, counters
             )
             local_best = int(np.argmax(influences))
             if influences[local_best] > best_influence:
@@ -96,10 +104,8 @@ class GridPartitionLS(LocationSelector):
         )
 
     # ------------------------------------------------------------------
-    def _bucket_candidates(
-        self, cand_xy: np.ndarray
-    ) -> list[tuple[MBR, np.ndarray]]:
-        """Split candidates into non-empty grid cells with tight MBRs."""
+    def _bucket_candidates(self, cand_xy: np.ndarray) -> list[np.ndarray]:
+        """The candidate indexes of each non-empty grid cell."""
         min_x, min_y = cand_xy.min(axis=0)
         max_x, max_y = cand_xy.max(axis=0)
         span_x = max(max_x - min_x, 1e-9)
@@ -108,64 +114,7 @@ class GridPartitionLS(LocationSelector):
         col = np.minimum(((cand_xy[:, 0] - min_x) / span_x * g).astype(int), g - 1)
         row = np.minimum(((cand_xy[:, 1] - min_y) / span_y * g).astype(int), g - 1)
         key = row * g + col
-        cells: list[tuple[MBR, np.ndarray]] = []
-        for cell_key in np.unique(key):
-            members = np.nonzero(key == cell_key)[0]
-            sub = cand_xy[members]
-            cells.append((MBR.from_array(sub), members))
-        return cells
-
-    @staticmethod
-    def _cell_bounds(cell_mbr: MBR, table: ObjectTable) -> tuple[int, int]:
-        """Certified (lower, upper) influence bounds for the whole cell.
-
-        Lower: objects whose IA region contains the entire cell.
-        Upper: objects whose NIB region intersects the cell at all.
-        """
-        lower = 0
-        upper = 0
-        for entry in table:
-            if cell_mbr.max_dist_rect(entry.mbr) <= entry.radius:
-                lower += 1
-                upper += 1
-            elif cell_mbr.min_dist_rect(entry.mbr) <= entry.radius:
-                upper += 1
-        return lower, upper
-
-    @staticmethod
-    def _resolve_cell(
-        cell_mbr: MBR,
-        members: np.ndarray,
-        cand_xy: np.ndarray,
-        table: ObjectTable,
-        pf: ProbabilityFunction,
-        log_threshold: float,
-        counters: Instrumentation,
-    ) -> np.ndarray:
-        """Exact influences of the cell's candidates."""
-        influences = np.zeros(members.size, dtype=int)
-        sub_xy = cand_xy[members]
-        for entry in table:
-            max_d = entry.mbr.max_dist_many(sub_xy)
-            min_d = entry.mbr.min_dist_many(sub_xy)
-            ia = max_d <= entry.radius
-            band = ~ia & (min_d <= entry.radius)
-            counters.pairs_pruned_ia += int(np.count_nonzero(ia))
-            counters.pairs_pruned_nib += int(
-                members.size - np.count_nonzero(ia) - np.count_nonzero(band)
-            )
-            influences[ia] += 1
-            band_idx = np.nonzero(band)[0]
-            if band_idx.size:
-                logs = batch_log_non_influence(
-                    pf, entry.obj.positions, sub_xy[band_idx]
-                )
-                influences[band_idx[logs <= log_threshold]] += 1
-                counters.pairs_validated += band_idx.size
-                n = entry.obj.n_positions
-                counters.positions_total += n * band_idx.size
-                counters.positions_evaluated += n * band_idx.size
-        return influences
+        return [np.nonzero(key == cell_key)[0] for cell_key in np.unique(key)]
 
 
 def optimal_grid_size(n_candidates: int) -> int:

@@ -1,10 +1,14 @@
 """PINOCCHIO — Algorithm 2 of the paper.
 
-Per object: prune candidates with the IA/NIB rules through the
-candidate R-tree, then validate the surviving band exactly.  Produces
-the full influence table (every candidate's exact influence), like NA
-but with roughly two thirds of the object-candidate pairs never
-touched (Fig 10).
+Per object: prune candidates with the IA/NIB rules, then validate the
+surviving band exactly.  Produces the full influence table (every
+candidate's exact influence), like NA but with roughly two thirds of
+the object-candidate pairs never touched (Fig 10).
+
+:meth:`Pinocchio.influence_blocks` is the one pass every exact
+one-shot solver built on these rules reads: the weighted and portfolio
+variants and GRID's cell resolution consume its blocks instead of
+keeping loops of their own.
 """
 
 from __future__ import annotations
@@ -20,15 +24,24 @@ from repro.core.influence import (
     validate_pair,
 )
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import (
-    band_by_row,
-    classify_candidates,
-    classify_table_chunks,
-)
+from repro.core.pruning import band_by_row, classify_table_chunks, rtree_blocks
 from repro.core.result import Instrumentation, LSResult, full_table_result
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
 from repro.prob.base import ProbabilityFunction
+
+
+def pruning_blocks(solver: LocationSelector, table: ObjectTable, cand_xy):
+    """The ``(rows, cols, ia, band)`` IA/NIB blocks ``solver`` prunes with.
+
+    The STR-chunked scan by default, or the paper's per-object range
+    queries on the candidate R-tree when ``solver.use_rtree`` is set;
+    the two yield the same split (see :mod:`repro.core.pruning`).
+    """
+    if solver.use_rtree:
+        rtree = solver._candidate_rtree(cand_xy, solver.rtree_max_entries)
+        return rtree_blocks(table, cand_xy, rtree)
+    return classify_table_chunks(table, cand_xy)
 
 
 class Pinocchio(LocationSelector):
@@ -84,90 +97,90 @@ class Pinocchio(LocationSelector):
         ``counters`` receives this shard's work counts and per-phase
         times; ``pairs_total``/``dead_objects`` are the caller's job.
         """
+        influence = np.zeros(cand_xy.shape[0], dtype=int)
+        for _rows, cols, influenced in self.influence_blocks(
+            table, cand_xy, pf, tau, counters
+        ):
+            influence[cols] += influenced.sum(axis=0)
+        return influence
+
+    def influence_blocks(
+        self,
+        table: ObjectTable,
+        cand_xy: np.ndarray,
+        pf: ProbabilityFunction,
+        tau: float,
+        counters: Instrumentation,
+    ):
+        """Yield each pruning block's exact influence relation.
+
+        ``(rows, cols, influenced)``: table rows, candidate columns and
+        the ``(rows.size, cols.size)`` boolean matrix of ``Pr_c(O) ≥
+        τ`` — IA pairs by the rule, band pairs by this solver's kernel.
+        Every row is in exactly one block and every pair outside the
+        blocks is NIB-pruned, so the blocks hold the whole relation.
+        ``counters`` gets the pruned and validated pairs and the phase
+        times: validation is timed directly, and the rest of the pass,
+        including the consumer's work between blocks, is charged to
+        pruning, so the two phases sum to the pass's wall time.
+        """
         m = cand_xy.shape[0]
         log_threshold = influence_threshold_log(tau)
-        influence = np.zeros(m, dtype=int)
-
-        # Phase attribution, identical on both paths: validation
-        # kernels are timed directly, and everything else in this call
-        # — classification and its band bookkeeping — is charged to
-        # pruning as (wall time − validation time).  By construction
-        # the two phase columns always sum to the call's wall time.
         started = time.perf_counter()
         validation_before = counters.validation_seconds
-
-        if self.use_rtree:
-            rtree = self._candidate_rtree(cand_xy, self.rtree_max_entries)
-            for entry in table:
-                outcome = classify_candidates(entry, cand_xy, rtree)
-                counters.pairs_pruned_ia += outcome.certain.size
-                counters.pairs_pruned_nib += outcome.pruned_nib
-                influence[outcome.certain] += 1
-                if outcome.maybe.size:
-                    with counters.phase("validation"):
-                        self._validate_band(
-                            entry.obj.positions, outcome.maybe, cand_xy,
-                            pf, log_threshold, influence, counters,
-                        )
-        else:
-            columns = table.to_columnar()
-            for rows, cols, ia, band in classify_table_chunks(table, cand_xy):
-                ia_count = int(np.count_nonzero(ia))
-                band_count = int(np.count_nonzero(band))
-                counters.pairs_pruned_ia += ia_count
-                counters.pairs_pruned_nib += (
-                    rows.size * m - ia_count - band_count
-                )
-                influence[cols] += ia.sum(axis=0)
-                work = list(band_by_row(rows, cols, band))
+        columns = table.to_columnar()
+        for rows, cols, ia, band in pruning_blocks(self, table, cand_xy):
+            ia_count = int(np.count_nonzero(ia))
+            band_count = int(np.count_nonzero(band))
+            counters.pairs_pruned_ia += ia_count
+            counters.pairs_pruned_nib += rows.size * m - ia_count - band_count
+            # The band's verdicts are written into the IA matrix, which
+            # the block source built fresh for this block.
+            influenced = ia
+            if band_count:
+                work = list(band_by_row(band))
                 with counters.phase("validation"):
-                    for row, maybe in work:
-                        self._validate_band(
-                            columns.object_positions(row),
-                            maybe, cand_xy, pf,
-                            log_threshold, influence, counters,
+                    for i, maybe in work:
+                        influenced[i, maybe] = self._validate_band(
+                            columns.object_positions(int(rows[i])),
+                            cand_xy[cols[maybe]], pf, log_threshold,
+                            counters,
                         )
+            yield rows, cols, influenced
         validation_delta = counters.validation_seconds - validation_before
         counters.pruning_seconds += (
             time.perf_counter() - started
         ) - validation_delta
-        return influence
 
     def _validate_band(
         self,
         positions: np.ndarray,
-        maybe: np.ndarray,
-        cand_xy: np.ndarray,
+        band_xy: np.ndarray,
         pf: ProbabilityFunction,
         log_threshold: float,
-        influence: np.ndarray,
         counters: Instrumentation,
-    ) -> None:
-        """Exact validation of one object's surviving candidate band.
+    ) -> np.ndarray:
+        """Exact verdicts for one object's band candidates ``band_xy``.
 
-        ``positions`` is the object's ``(n, 2)`` array — on the scan
-        path a view into the table's columnar x/y block.
+        ``positions`` is the object's ``(n, 2)`` view into the table's
+        columnar x/y block.
         """
         if self.kernel == "vector":
             # One matrix kernel resolves the whole band of this object.
-            logs = batch_log_non_influence(pf, positions, cand_xy[maybe])
-            influenced = logs <= log_threshold
-            influence[maybe[influenced]] += 1
-            counters.pairs_validated += maybe.size
+            logs = batch_log_non_influence(pf, positions, band_xy)
+            k = band_xy.shape[0]
+            counters.pairs_validated += k
             n = positions.shape[0]
-            counters.positions_total += n * maybe.size
-            counters.positions_evaluated += n * maybe.size
-        else:
-            for j in maybe:
-                influenced = validate_pair(
-                    pf,
-                    positions,
-                    cand_xy[j, 0],
-                    cand_xy[j, 1],
-                    log_threshold,
-                    counters=counters,
-                    kernel="scalar",
-                    early_stop=False,
+            counters.positions_total += n * k
+            counters.positions_evaluated += n * k
+            return logs <= log_threshold
+        return np.array(
+            [
+                validate_pair(
+                    pf, positions, cx, cy, log_threshold,
+                    counters=counters, kernel="scalar", early_stop=False,
                 )
-                if influenced:
-                    influence[j] += 1
+                for cx, cy in band_xy.tolist()
+            ],
+            dtype=bool,
+        )

@@ -48,7 +48,7 @@ from repro.core.influence import (
     validate_pair,
 )
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import classify_candidates, classify_table_chunks
+from repro.core.pinocchio import pruning_blocks
 from repro.core.result import Instrumentation, LSResult
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -200,11 +200,9 @@ class PinocchioVO(LocationSelector):
         if not self.use_pruning:
             everything = np.arange(table.live_count)
             return min_inf, [everything] * m
-        if self.use_rtree:
-            return self._prune_with_rtree(table, cand_xy, counters, min_inf)
         stride = max(table.live_count, 1)
         keys: list[np.ndarray] = []
-        for rows, cols, ia, band in classify_table_chunks(table, cand_xy):
+        for rows, cols, ia, band in pruning_blocks(self, table, cand_xy):
             ia_count = int(np.count_nonzero(ia))
             band_count = int(np.count_nonzero(band))
             counters.pairs_pruned_ia += ia_count
@@ -214,7 +212,7 @@ class PinocchioVO(LocationSelector):
             keys.append(cols[band_cols] * stride + rows[band_rows])
         # One sort of the (candidate, row) keys groups the band pairs by
         # candidate, each verification set in ascending row order
-        # whatever order the chunks ran in.
+        # whatever order the blocks ran in.
         key = np.sort(np.concatenate(keys)) if keys else np.empty(0, dtype=int)
         boundaries = np.searchsorted(key, np.arange(m + 1) * stride)
         rows = key % stride
@@ -222,25 +220,6 @@ class PinocchioVO(LocationSelector):
             rows[boundaries[j] : boundaries[j + 1]] for j in range(m)
         ]
         return min_inf, vs_indexes
-
-    def _prune_with_rtree(
-        self,
-        table: ObjectTable,
-        cand_xy: np.ndarray,
-        counters: Instrumentation,
-        min_inf: np.ndarray,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        m = cand_xy.shape[0]
-        rtree = self._candidate_rtree(cand_xy, self.rtree_max_entries)
-        sets: list[list[int]] = [[] for _ in range(m)]
-        for i, entry in enumerate(table.entries):
-            outcome = classify_candidates(entry, cand_xy, rtree)
-            counters.pairs_pruned_ia += outcome.certain.size
-            counters.pairs_pruned_nib += outcome.pruned_nib
-            min_inf[outcome.certain] += 1
-            for j in outcome.maybe.tolist():
-                sets[j].append(i)
-        return min_inf, [np.array(s, dtype=int) for s in sets]
 
     # ------------------------------------------------------------------
     # Validation phase

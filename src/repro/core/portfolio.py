@@ -10,8 +10,8 @@ pick a set ``S`` of ``k`` candidates maximising
 Coverage is monotone submodular, so the classic greedy algorithm is a
 ``(1 − 1/e)``-approximation (Nemhauser et al.), and with CELF-style
 lazy evaluation the marginal-gain recomputations collapse.  Influence
-sets are extracted exactly with the IA/NIB machinery (one chunked
-classification pass + band validation, as in PINOCCHIO), after which
+sets are extracted exactly by PINOCCHIO's influence pass
+(:meth:`repro.core.pinocchio.Pinocchio.influence_blocks`), after which
 greedy runs on bitsets.
 
 For small ``k``/``m`` an exact branch-and-bound is also provided to
@@ -27,9 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.base import candidates_to_array
-from repro.core.influence import batch_log_non_influence, influence_threshold_log
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import band_by_row, classify_table_chunks
+from repro.core.pinocchio import Pinocchio
 from repro.core.result import Instrumentation
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -45,7 +44,7 @@ def influence_bitsets(
 ) -> list[np.ndarray]:
     """Per-candidate boolean masks over live objects: who influences whom.
 
-    Exact, computed with the PINOCCHIO pruning machinery; dead objects
+    Exact, computed by PINOCCHIO's influence pass; dead objects
     (uninfluenceable at this τ) are excluded from the universe.
     """
     counters = counters if counters is not None else Instrumentation()
@@ -55,23 +54,11 @@ def influence_bitsets(
     m = cand_xy.shape[0]
     r = table.live_count
     counters.pairs_total = r * m
-    log_threshold = influence_threshold_log(tau)
     masks = np.zeros((m, r), dtype=bool)
-    columns = table.to_columnar()
-    for rows, cols, ia, band in classify_table_chunks(table, cand_xy):
-        counters.pairs_pruned_ia += int(np.count_nonzero(ia))
-        counters.pairs_pruned_nib += int(
-            rows.size * m - np.count_nonzero(ia) - np.count_nonzero(band)
-        )
-        masks[np.ix_(cols, rows)] = ia.T
-        for row, maybe in band_by_row(rows, cols, band):
-            object_xy = columns.object_positions(row)
-            logs = batch_log_non_influence(pf, object_xy, cand_xy[maybe])
-            masks[maybe[logs <= log_threshold], row] = True
-            counters.pairs_validated += maybe.size
-            n = object_xy.shape[0]
-            counters.positions_total += n * maybe.size
-            counters.positions_evaluated += n * maybe.size
+    for rows, cols, influenced in Pinocchio().influence_blocks(
+        table, cand_xy, pf, tau, counters
+    ):
+        masks[np.ix_(cols, rows)] = influenced.T
     return [masks[j] for j in range(m)]
 
 

@@ -25,28 +25,19 @@ block, so its work follows the number of nearby pairs rather than
 ``objects × candidates``.  The box only removes work: every candidate
 outside it is NIB-pruned by the kernel itself (see :func:`nib_boxes`),
 so the split, and every count derived from it, equals the dense scan's.
-The per-object R-tree path (:func:`classify_candidates`) queries the
-same padded box and decides its survivors with the same kernel.
+The paper's own form, :func:`rtree_blocks`, yields the same blocks one
+row at a time: the candidate R-tree's hits inside the row's padded NIB
+box, decided by the same kernel.  Solvers consume either source
+through one loop, so the two cannot split differently.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.object_table import ObjectEntry, ObjectTable
 from repro.geo.mbr import MBR
 from repro.index.rtree import RTree, str_groups
-
-
-@dataclass(frozen=True, slots=True)
-class PruningOutcome:
-    """Candidate indexes resolved by the rules for one object."""
-
-    certain: np.ndarray   # influenced for sure (IA)
-    maybe: np.ndarray     # needs validation (inside NIB, outside IA)
-    pruned_nib: int       # count resolved as non-influencing
 
 
 def classify_chunk(
@@ -281,48 +272,33 @@ def classify_table_chunks(
     return gen()
 
 
-def band_by_row(rows: np.ndarray, cols: np.ndarray, band: np.ndarray):
-    """Yield ``(row, maybe)`` for each row of a block with band pairs.
+def rtree_blocks(table: ObjectTable, cand_xy: np.ndarray, rtree: RTree):
+    """Yield ``(rows, cols, ia, band)`` one table row at a time.
 
-    ``row`` is the table row and ``maybe`` its band candidates in
-    ascending order — one object's validation work, as PIN and its
-    variants consume it from :func:`classify_table_chunks` blocks.
+    The paper's candidate range queries (Algorithm 2 lines 6/9): for
+    each live row, ``cols`` are the hits of ``rtree`` (built over
+    ``cand_xy``) inside the row's padded NIB box (:func:`nib_boxes`),
+    ascending, and ``ia``/``band`` are :func:`classify_span` on them.
+    The contract is :func:`classify_table_chunks`'s — every row in
+    exactly one block, every pair outside the blocks NIB-pruned — so
+    the two sources split identically.  Reads only the table-cached
+    MBR and radius arrays, so tables attached from shared memory never
+    build entries.
     """
-    band_rows, band_cols = np.nonzero(band)
-    starts = np.flatnonzero(np.diff(band_rows, prepend=-1))
-    for i, maybe in zip(
-        band_rows[starts].tolist(), np.split(band_cols, starts[1:])
-    ):
-        yield int(rows[i]), cols[maybe]
+    mbrs, radii = table.mbr_radius_arrays()
+    for i, box in enumerate(nib_boxes(mbrs, radii).tolist()):
+        cols = np.sort(np.asarray(rtree.query_rect(MBR(*box)), dtype=np.intp))
+        ia, band = classify_span(
+            mbrs[i : i + 1], radii[i : i + 1], cand_xy[cols]
+        )
+        yield np.array([i]), cols, ia, band
 
 
-def classify_candidates(
-    entry: ObjectEntry,
-    cand_xy: np.ndarray,
-    rtree: RTree | None,
-) -> PruningOutcome:
-    """Split the candidate set for one object entry.
+def band_by_row(band: np.ndarray):
+    """Yield ``(i, maybe)`` for each row of a block with band pairs.
 
-    ``cand_xy`` is the full ``(m, 2)`` candidate coordinate array whose
-    row index is the candidate id.  The R-tree returns the candidates
-    inside the entry's padded NIB box (:func:`nib_boxes`) and
-    :func:`classify_span` decides them, so this path splits exactly
-    like the scan.  When ``rtree`` is ``None`` every candidate goes
-    through the kernel (used by ablations).
+    ``i`` is the block row and ``maybe`` its band pairs' block columns
+    in ascending order — one object's validation work.
     """
-    m = cand_xy.shape[0]
-    mbrs = np.array([entry.mbr.as_tuple()], dtype=np.float64)
-    radii = np.array([entry.radius], dtype=np.float64)
-    if rtree is None:
-        ids = np.arange(m)
-    else:
-        box = MBR(*nib_boxes(mbrs, radii)[0].tolist())
-        ids = np.asarray(rtree.query_rect(box), dtype=int)
-    ia, band = classify_span(mbrs, radii, cand_xy[ids])
-    certain = ids[ia[0]]
-    maybe = ids[band[0]]
-    return PruningOutcome(
-        certain=certain,
-        maybe=maybe,
-        pruned_nib=m - certain.size - maybe.size,
-    )
+    for i in np.flatnonzero(band.any(axis=1)).tolist():
+        yield i, np.flatnonzero(band[i])

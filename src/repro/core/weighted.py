@@ -9,7 +9,9 @@ moving object (customer value, animal conservation status, ...),
 
 Every pruning rule carries over unchanged — the IA rule adds ``w_O``
 instead of 1, the NIB rule skips the pair — so this is PINOCCHIO with
-float accumulation.  With unit weights it reduces exactly to
+float accumulation: it reads PINOCCHIO's influence pass
+(:meth:`repro.core.pinocchio.Pinocchio.influence_blocks`) and sums each
+block's weights.  With unit weights it reduces exactly to
 :class:`repro.core.pinocchio.Pinocchio` (asserted by tests).
 """
 
@@ -20,9 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.base import LocationSelector, candidates_to_array
-from repro.core.influence import batch_log_non_influence, influence_threshold_log
 from repro.core.object_table import ObjectTable
-from repro.core.pruning import band_by_row, classify_table_chunks
+from repro.core.pinocchio import Pinocchio
 from repro.core.result import Instrumentation, LSResult
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -72,29 +73,15 @@ class WeightedPrimeLS(LocationSelector):
         cand_xy = candidates_to_array(candidates)
         m = cand_xy.shape[0]
         counters.pairs_total = table.live_count * m
-        log_threshold = influence_threshold_log(tau)
         influence = np.zeros(m, dtype=float)
-        columns = table.to_columnar()
         weights = np.array(
-            [weight_by_id[int(oid)] for oid in columns.object_ids],
+            [weight_by_id[int(oid)] for oid in table.to_columnar().object_ids],
             dtype=float,
         )
-
-        for rows, cols, ia, band in classify_table_chunks(table, cand_xy):
-            ia_count = int(np.count_nonzero(ia))
-            band_count = int(np.count_nonzero(band))
-            counters.pairs_pruned_ia += ia_count
-            counters.pairs_pruned_nib += rows.size * m - ia_count - band_count
-            influence[cols] += weights[rows] @ ia
-            for row, maybe in band_by_row(rows, cols, band):
-                positions = columns.object_positions(row)
-                logs = batch_log_non_influence(pf, positions, cand_xy[maybe])
-                influenced = logs <= log_threshold
-                influence[maybe[influenced]] += weights[row]
-                counters.pairs_validated += maybe.size
-                n = positions.shape[0]
-                counters.positions_total += n * maybe.size
-                counters.positions_evaluated += n * maybe.size
+        for rows, cols, influenced in Pinocchio().influence_blocks(
+            table, cand_xy, pf, tau, counters
+        ):
+            influence[cols] += weights[rows] @ influenced
 
         influences = {j: float(influence[j]) for j in range(m)}
         best_idx = max(influences, key=lambda idx: (influences[idx], -idx))

@@ -74,6 +74,23 @@ class TestCompetitive:
         assert result.best_influence == 0
         assert result.instrumentation.dead_objects == 1
 
+    def test_pair_partition_counts_live_objects_only(self, rng):
+        # Regression: pairs_total counted dead objects, so IA + NIB +
+        # validated fell short of it whenever an object was dead.
+        pf = PowerLawPF(rho=1.0, lam=1.0)
+        objects = make_objects(rng, 12, n_range=(1, 10))
+        incumbent = Candidate(900, *objects[0].positions[0])
+        candidates = make_candidates(rng, 9)
+        inst = CompetitivePrimeLS([incumbent]).select(
+            objects, candidates, pf, 0.5
+        ).instrumentation
+        assert inst.dead_objects >= 1
+        assert inst.pairs_total == (len(objects) - inst.dead_objects) * 9
+        assert (
+            inst.pairs_pruned_ia + inst.pairs_pruned_nib + inst.pairs_validated
+            == inst.pairs_total
+        )
+
     def test_marginal_influence_monotone_in_facilities(self, pf, rng):
         objects = make_objects(rng, 10)
         candidates = make_candidates(rng, 8)

@@ -9,22 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import pinocchio_vo
+from repro.core import pinocchio
 from repro.core.base import candidates_to_array
+from repro.core.competitive import CompetitivePrimeLS
+from repro.core.grid_ls import GridPartitionLS
 from repro.core.naive import NaiveAlgorithm
 from repro.core.object_table import ObjectTable
 from repro.core.pinocchio import Pinocchio
 from repro.core.pinocchio_vo import PinocchioVO
+from repro.core.portfolio import influence_bitsets
 from repro.core.pruning import (
     CLASSIFY_CHUNK,
-    classify_candidates,
     classify_chunk,
     classify_span,
     classify_table_chunks,
     nib_boxes,
+    rtree_blocks,
 )
 from repro.core.result import Instrumentation
 from repro.core.sketch import InfluenceSketch
+from repro.core.topk import TopKPrimeLS
+from repro.core.weighted import WeightedPrimeLS
 from repro.engine.pool import _attach_columnar, _pack_segment
 from repro.index import RTree
 from repro.model import MovingObject
@@ -60,36 +65,53 @@ def table_and_candidates(pf, rng):
     return table, cand_xy
 
 
+def rtree_split(table, cand_xy, rtree):
+    """``[(certain, maybe, pruned_nib)]`` per table row from
+    :func:`rtree_blocks`, asserting its block contract on the way:
+    one row per block, every row exactly once and in order, ascending
+    distinct columns."""
+    m = cand_xy.shape[0]
+    split = []
+    for rows, cols, ia, band in rtree_blocks(table, cand_xy, rtree):
+        assert rows.tolist() == [len(split)]
+        assert ia.shape == band.shape == (1, cols.size)
+        assert np.all(np.diff(cols) > 0)
+        certain, maybe = cols[ia[0]], cols[band[0]]
+        split.append((certain, maybe, m - certain.size - maybe.size))
+    assert len(split) == table.live_count
+    return split
+
+
 class TestClassifyCandidates:
     def test_matches_brute_force_with_rtree(self, table_and_candidates):
         table, cand_xy = table_and_candidates
         rtree = RTree.bulk_load(cand_xy)
-        for entry in table:
-            outcome = classify_candidates(entry, cand_xy, rtree)
+        split = rtree_split(table, cand_xy, rtree)
+        for entry, (got_certain, got_maybe, pruned_nib) in zip(
+            table, split
+        ):
             certain, maybe, pruned = brute_split(entry, cand_xy)
-            assert sorted(outcome.certain.tolist()) == certain
-            assert sorted(outcome.maybe.tolist()) == maybe
-            assert outcome.pruned_nib == len(pruned)
+            assert got_certain.tolist() == certain
+            assert got_maybe.tolist() == maybe
+            assert pruned_nib == len(pruned)
 
     def test_matches_brute_force_without_rtree(self, table_and_candidates):
         table, cand_xy = table_and_candidates
-        for entry in table:
-            outcome = classify_candidates(entry, cand_xy, None)
+        mbrs, radii = table.mbr_radius_arrays()
+        for i, entry in enumerate(table):
+            ia, band = classify_span(mbrs[i : i + 1], radii[i : i + 1], cand_xy)
             certain, maybe, pruned = brute_split(entry, cand_xy)
-            assert sorted(outcome.certain.tolist()) == certain
-            assert sorted(outcome.maybe.tolist()) == maybe
-            assert outcome.pruned_nib == len(pruned)
+            assert np.flatnonzero(ia[0]).tolist() == certain
+            assert np.flatnonzero(band[0]).tolist() == maybe
+            assert int(np.count_nonzero(~ia[0] & ~band[0])) == len(pruned)
 
     def test_partition_is_complete(self, table_and_candidates):
         table, cand_xy = table_and_candidates
         m = cand_xy.shape[0]
         rtree = RTree.bulk_load(cand_xy)
-        for entry in table:
-            outcome = classify_candidates(entry, cand_xy, rtree)
-            assert (
-                outcome.certain.size + outcome.maybe.size + outcome.pruned_nib == m
-            )
-            overlap = set(outcome.certain.tolist()) & set(outcome.maybe.tolist())
+        for certain, maybe, pruned_nib in rtree_split(table, cand_xy, rtree):
+            assert certain.size + maybe.size + pruned_nib == m
+            overlap = set(certain.tolist()) & set(maybe.tolist())
             assert not overlap
 
 
@@ -151,20 +173,19 @@ class TestChunkSizeValidation:
             classify_table_chunks(table, cand_xy, chunk_size=-4)
 
 
-def scattered_table_chunks(table, cand_xy, chunk_size=CLASSIFY_CHUNK):
-    """Dense ``(live_count, m)`` matrices scattered from the blocked scan.
+def scattered_blocks(blocks, count, m, max_rows):
+    """Dense ``(count, m)`` matrices scattered from ``(rows, cols, ia,
+    band)`` blocks.
 
-    Asserts the block shape contract on the way: every row is yielded
-    exactly once and each block's ``cols`` are ascending and distinct.
+    Asserts the block shape contract on the way: every block holds 1 to
+    ``max_rows`` rows, every row is yielded exactly once and each
+    block's ``cols`` are ascending and distinct.
     """
-    count, m = table.live_count, cand_xy.shape[0]
     ia = np.zeros((count, m), dtype=bool)
     band = np.zeros((count, m), dtype=bool)
     seen = np.zeros(count, dtype=int)
-    for rows, cols, block_ia, block_band in classify_table_chunks(
-        table, cand_xy, chunk_size=chunk_size
-    ):
-        assert 0 < rows.size <= chunk_size
+    for rows, cols, block_ia, block_band in blocks:
+        assert 0 < rows.size <= max_rows
         assert np.all(np.diff(cols) > 0)
         assert block_ia.shape == block_band.shape == (rows.size, cols.size)
         seen[rows] += 1
@@ -172,6 +193,16 @@ def scattered_table_chunks(table, cand_xy, chunk_size=CLASSIFY_CHUNK):
         band[np.ix_(rows, cols)] = block_band
     assert np.all(seen == 1)
     return ia, band
+
+
+def scattered_table_chunks(table, cand_xy, chunk_size=CLASSIFY_CHUNK):
+    """The blocked scan's blocks scattered into dense matrices."""
+    return scattered_blocks(
+        classify_table_chunks(table, cand_xy, chunk_size=chunk_size),
+        table.live_count,
+        cand_xy.shape[0],
+        chunk_size,
+    )
 
 
 def dense_classification(table, cand_xy):
@@ -285,16 +316,15 @@ class TestColumnarIdentity:
         np.testing.assert_array_equal(ia, legacy_ia.reshape(shape))
         np.testing.assert_array_equal(band, legacy_band.reshape(shape))
 
-        # Per-object R-tree path.
-        rtree = RTree.bulk_load(cand_xy)
-        for i, entry in enumerate(table.entries):
-            outcome = classify_candidates(entry, cand_xy, rtree)
-            assert sorted(outcome.certain.tolist()) == np.flatnonzero(
-                ia[i]
-            ).tolist()
-            assert sorted(outcome.maybe.tolist()) == np.flatnonzero(
-                band[i]
-            ).tolist()
+        # The R-tree block source, one row per block.
+        rtree_ia, rtree_band = scattered_blocks(
+            rtree_blocks(table, cand_xy, RTree.bulk_load(cand_xy)),
+            table.live_count,
+            m,
+            1,
+        )
+        np.testing.assert_array_equal(rtree_ia, ia)
+        np.testing.assert_array_equal(rtree_band, band)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -310,21 +340,24 @@ class TestColumnarIdentity:
         blocked = functools.partial(
             classify_table_chunks, chunk_size=chunk_size
         )
-        counters = Instrumentation()
-        with mock.patch.object(
-            pinocchio_vo, "classify_table_chunks", blocked
-        ):
-            min_inf, vs = PinocchioVO().pruning_phase(
-                table, cand_xy, counters
+        for use_rtree in (False, True):
+            counters = Instrumentation()
+            with mock.patch.object(
+                pinocchio, "classify_table_chunks", blocked
+            ):
+                min_inf, vs = PinocchioVO(use_rtree=use_rtree).pruning_phase(
+                    table, cand_xy, counters
+                )
+            np.testing.assert_array_equal(min_inf, ia.sum(axis=0))
+            assert len(vs) == m
+            for j in range(m):
+                np.testing.assert_array_equal(
+                    vs[j], np.flatnonzero(band[:, j])
+                )
+            assert counters.pairs_pruned_ia == int(ia.sum())
+            assert counters.pairs_pruned_nib == (
+                table.live_count * m - int(ia.sum()) - int(band.sum())
             )
-        np.testing.assert_array_equal(min_inf, ia.sum(axis=0))
-        assert len(vs) == m
-        for j in range(m):
-            np.testing.assert_array_equal(vs[j], np.flatnonzero(band[:, j]))
-        assert counters.pairs_pruned_ia == int(ia.sum())
-        assert counters.pairs_pruned_nib == (
-            table.live_count * m - int(ia.sum()) - int(band.sum())
-        )
 
 
 class TestBlockedScan:
@@ -335,7 +368,7 @@ class TestBlockedScan:
         candidates = make_candidates(rng, 48, extent=150.0)
         blocked = PinocchioVO().select(objects, candidates, PF, 0.7)
         monkeypatch.setattr(
-            pinocchio_vo, "classify_table_chunks", dense_table_chunks
+            pinocchio, "classify_table_chunks", dense_table_chunks
         )
         dense = PinocchioVO().select(objects, candidates, PF, 0.7)
         assert blocked.best_candidate == dense.best_candidate
@@ -415,6 +448,14 @@ class TestBlockedScan:
         want_ia, want_band = dense_classification(table, cand_xy)
         np.testing.assert_array_equal(ia, want_ia)
         np.testing.assert_array_equal(band, want_band)
+        ia, band = scattered_blocks(
+            rtree_blocks(rebuilt, cand_xy, RTree.bulk_load(cand_xy)),
+            rebuilt.live_count,
+            cand_xy.shape[0],
+            1,
+        )
+        np.testing.assert_array_equal(ia, want_ia)
+        np.testing.assert_array_equal(band, want_band)
         assert not rebuilt.entries_materialised
 
 
@@ -436,6 +477,27 @@ class TestGuardBand:
                 objects, candidates, pf, tau
             )
             assert got.influences == want.influences, use_rtree
+        # Every other exact solver over the whole placement set: GRID
+        # resolves cells and COMPETITIVE splits at effective radii of
+        # their own; WEIGHTED, the bitsets and TOP-K read PIN's and
+        # PIN-VO's passes.
+        expected = [want.influences[j] for j in range(len(candidates))]
+        grid = GridPartitionLS().select(objects, candidates, pf, tau)
+        assert grid.best_influence == want.best_influence
+        competitive = CompetitivePrimeLS([]).select(
+            objects, candidates, pf, tau
+        )
+        assert competitive.influences == want.influences
+        weighted = WeightedPrimeLS([1.0] * len(objects)).select(
+            objects, candidates, pf, tau
+        )
+        assert weighted.influences == want.influences
+        masks = influence_bitsets(objects, candidates, pf, tau)
+        assert [int(np.count_nonzero(mask)) for mask in masks] == expected
+        top = TopKPrimeLS(k=len(candidates)).select(
+            objects, candidates, pf, tau
+        )
+        assert top.influences == want.influences
         for obj, cand in zip(objects, candidates):
             pair = NaiveAlgorithm().select([obj], [cand], pf, tau)
             for use_rtree in (False, True):
@@ -447,7 +509,6 @@ class TestGuardBand:
         # from the pool's shared segment (the "pin" span path), and an
         # exhaustive sketch.
         cand_xy = candidates_to_array(candidates)
-        expected = [want.influences[j] for j in range(len(candidates))]
         table = ObjectTable(objects, pf, tau)
         shm, meta = _pack_segment(table.to_columnar())
         try:
@@ -471,26 +532,33 @@ class TestEdgeCases:
         objects = make_objects(rng, 3, extent=5.0, n_range=(2, 4))
         table = ObjectTable(objects, pf, 0.9)
         cand_xy = np.array([[1e5, 1e5], [-1e5, -1e5]])
-        for entry in table:
-            outcome = classify_candidates(entry, cand_xy, None)
-            assert outcome.certain.size == 0
-            assert outcome.maybe.size == 0
-            assert outcome.pruned_nib == 2
+        mbrs, radii = table.mbr_radius_arrays()
+        ia, band = classify_span(mbrs, radii, cand_xy)
+        assert not ia.any()
+        assert not band.any()
+        for certain, maybe, pruned_nib in rtree_split(
+            table, cand_xy, RTree.bulk_load(cand_xy)
+        ):
+            assert certain.size == 0
+            assert maybe.size == 0
+            assert pruned_nib == 2
 
     def test_candidate_in_mbr_is_never_nib_pruned(self, pf, rng):
         # minDist is zero inside the MBR, so the NIB rule can't fire.
         objects = make_objects(rng, 5, extent=20.0, n_range=(5, 30))
         table = ObjectTable(objects, pf, 0.9)
-        for entry in table:
+        for i, entry in enumerate(table):
             center = entry.mbr.center
             cand_xy = np.array([[center.x, center.y]])
-            outcome = classify_candidates(entry, cand_xy, None)
-            assert outcome.pruned_nib == 0
+            split = rtree_split(table, cand_xy, RTree.bulk_load(cand_xy))
+            assert split[i][2] == 0
 
     def test_empty_rtree_query_result(self, pf, rng):
         objects = make_objects(rng, 2, extent=5.0)
         table = ObjectTable(objects, pf, 0.9)
         cand_xy = np.array([[1e4, 1e4]])
         rtree = RTree.bulk_load(cand_xy)
-        outcome = classify_candidates(table.entries[0], cand_xy, rtree)
-        assert outcome.pruned_nib == 1
+        rows, cols, ia, band = next(rtree_blocks(table, cand_xy, rtree))
+        assert rows.tolist() == [0] and cols.size == 0
+        assert ia.shape == band.shape == (1, 0)
+        assert rtree_split(table, cand_xy, rtree)[0][2] == 1
