@@ -31,7 +31,7 @@ from repro.core.influence import (
     log_non_influence,
     validate_pair,
 )
-from repro.core.object_table import ObjectEntry, ObjectTable
+from repro.core.object_table import ObjectTable
 from repro.core.safe_region import margins_span
 from repro.core.result import Instrumentation, LSResult
 from repro.core.naive import NaiveAlgorithm
@@ -71,7 +71,6 @@ __all__ = [
     "cumulative_probability",
     "log_non_influence",
     "validate_pair",
-    "ObjectEntry",
     "ObjectTable",
     "margins_span",
     "Instrumentation",

@@ -72,6 +72,7 @@ class CompetitivePrimeLS(LocationSelector):
         live: list[MovingObject] = []
         log_thresholds: list[float] = []
         radii: list[float] = []
+        radius_memo: dict[tuple[float, int], float | None] = {}
         for obj in objects:
             log_thr = self._effective_log_threshold(
                 obj, incumbent_xy, pf, tau, counters
@@ -81,7 +82,9 @@ class CompetitivePrimeLS(LocationSelector):
                 continue
             # Derive the per-object radius from the effective threshold
             # (strict inequality against incumbents is handled below).
-            radius = self._radius_for(pf, obj.n_positions, log_thr)
+            radius = self._radius_for(
+                pf, obj.n_positions, log_thr, radius_memo
+            )
             if radius is None:
                 counters.dead_objects += 1
                 continue
@@ -147,18 +150,26 @@ class CompetitivePrimeLS(LocationSelector):
 
     @staticmethod
     def _radius_for(
-        pf: ProbabilityFunction, n: int, log_threshold: float
+        pf: ProbabilityFunction,
+        n: int,
+        log_threshold: float,
+        memo: dict[tuple[float, int], float | None],
     ) -> float | None:
         """``minMaxRadius`` at the effective threshold.
 
         ``log_threshold = log(1 − τ_O)`` ⇒ ``τ_O = 1 − e^{log_threshold}``.
+        ``memo`` keeps one radius per exact ``(τ_O, n)``, so objects
+        sharing both reuse one inversion.
         """
         tau_eff = -math.expm1(log_threshold)
         if tau_eff >= 1.0:
             return None
         if tau_eff <= 0.0:
             tau_eff = 1e-12
-        return min_max_radius(pf, tau_eff, n)
+        key = (tau_eff, n)
+        if key not in memo:
+            memo[key] = min_max_radius(pf, tau_eff, n)
+        return memo[key]
 
 
 def marginal_influence(

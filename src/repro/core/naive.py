@@ -5,11 +5,11 @@ object-candidate pair and picks the candidate with the largest
 influence.  Correct by construction; the reference every other
 algorithm is tested against.
 
-The vector kernel concatenates all object positions into one array and
-resolves a candidate against all objects with a single segmented
-log-space reduction (``np.add.reduceat``), which keeps the baseline
-honest: it is slow because it does all the work, not because it is
-badly implemented.
+The vector kernel reads the fleet's columnar export (one x/y position
+block with per-object offsets) and resolves a candidate against all
+objects with a single segmented log-space reduction
+(``np.add.reduceat``), which keeps the baseline honest: it is slow
+because it does all the work, not because it is badly implemented.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.core.influence import (
     log_non_influence,
     validate_pair,
 )
+from repro.core.object_table import ColumnarTable, fleet_to_columnar
 from repro.core.result import Instrumentation, LSResult, full_table_result
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -52,7 +53,9 @@ class NaiveAlgorithm(LocationSelector):
         counters.pairs_total = len(objects) * len(candidates)
         cand_xy = candidates_to_array(candidates)
         if self.kernel == "vector":
-            influence = self.compute_influence(objects, cand_xy, pf, tau, counters)
+            influence = self.compute_influence(
+                fleet_to_columnar(objects), cand_xy, pf, tau, counters
+            )
         else:
             log_threshold = influence_threshold_log(tau)
             influence = self._run_scalar(
@@ -62,7 +65,7 @@ class NaiveAlgorithm(LocationSelector):
 
     def compute_influence(
         self,
-        objects: list[MovingObject],
+        fleet: ColumnarTable,
         cand_xy: np.ndarray,
         pf: ProbabilityFunction,
         tau: float,
@@ -72,12 +75,13 @@ class NaiveAlgorithm(LocationSelector):
 
         Candidate columns are independent, so the serving engine shards
         this across worker processes and concatenates the results
-        (bit-identical to a full-width call).  NA has no pruning phase:
-        all its time lands in ``validation_seconds``.
+        (bit-identical to a full-width call).  ``fleet`` is the fleet's
+        columnar export (:func:`repro.core.object_table.fleet_to_columnar`),
+        the same arrays a pool worker attaches.  NA has no pruning
+        phase: all its time lands in ``validation_seconds``.
         """
-        x, y = np.concatenate([o.positions.T for o in objects], axis=1)
-        lengths = np.array([o.n_positions for o in objects])
-        offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        x, y = fleet.xy
+        offsets = fleet.offsets[:-1]
         log_threshold = influence_threshold_log(tau)
         m = cand_xy.shape[0]
         influence = np.zeros(m, dtype=int)
@@ -88,7 +92,7 @@ class NaiveAlgorithm(LocationSelector):
                 logs = log1m_safe(pf(d))
                 per_object = np.add.reduceat(logs, offsets)
                 influence[j] = int(np.count_nonzero(per_object <= log_threshold))
-                counters.pairs_validated += len(objects)
+                counters.pairs_validated += fleet.count
                 counters.positions_total += n_total
                 counters.positions_evaluated += n_total
         return influence

@@ -50,6 +50,7 @@ from repro.core.influence import (
 from repro.core.object_table import ObjectTable
 from repro.core.pinocchio import pruning_blocks
 from repro.core.result import Instrumentation, LSResult
+from repro.geo.mbr import MBR
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
 from repro.prob.base import ProbabilityFunction
@@ -192,8 +193,7 @@ class PinocchioVO(LocationSelector):
         """IA/NIB pruning.
 
         Returns certified influence lower bounds (``minInf``) and, per
-        candidate, the verification set as an array of indexes into
-        ``table.entries``.
+        candidate, the verification set as an array of table rows.
         """
         m = cand_xy.shape[0]
         min_inf = np.zeros(m, dtype=int)
@@ -267,16 +267,16 @@ class PinocchioVO(LocationSelector):
                     counters.candidates_skipped_strategy1 += 1
                     return True
             return False
-        entries = table.entries
+        cols = table.to_columnar()
         for i in vs.tolist():
-            entry = entries[i]
             fail_fast_bound = None
             if self.fail_fast:
-                p_ub = float(pf(entry.mbr.min_dist(cx, cy)))
+                mbr = MBR(*cols.mbrs[i].tolist())
+                p_ub = float(pf(mbr.min_dist(cx, cy)))
                 fail_fast_bound = float(log1m_safe(p_ub))
             influenced = validate_pair(
                 pf,
-                entry.obj.positions,
+                cols.object_positions(i),
                 cx,
                 cy,
                 log_threshold,

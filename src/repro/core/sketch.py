@@ -157,9 +157,9 @@ class InfluenceSketch:
         """Sketch ``table``'s live objects (bottom-k of hashed ids).
 
         Reads only the table's columnar export, so building works
-        identically on tables attached from shared memory (no entry
-        materialisation).  Deterministic: same table contents, same
-        ``seed`` — same sketch.
+        identically on tables attached from shared memory.
+        Deterministic: same table contents, same ``seed`` — same
+        sketch.
         """
         if k < 1:
             raise ValueError(f"sketch k must be >= 1, got {k}")
@@ -174,7 +174,7 @@ class InfluenceSketch:
             hashes = _splitmix64(
                 np.asarray(cols.object_ids, dtype=np.int64), seed
             )
-            # stable sort so duplicate ids (hash ties) keep entry order
+            # stable sort so duplicate ids (hash ties) keep row order
             sel = np.sort(np.argsort(hashes, kind="stable")[:k_eff])
         starts = cols.offsets[sel]
         lengths = cols.offsets[sel + 1] - starts

@@ -18,16 +18,18 @@ columnar export of each cached ``(PF, τ)`` object table
 (:meth:`ObjectTable.to_columnar`) — and, for NA, the raw fleet — in
 ``multiprocessing.shared_memory`` segments, and thereafter every query
 only ships span *bounds* and candidate slices down a per-worker pipe.
-Workers rebuild tables as zero-copy views into the shared position
-block (:meth:`ObjectTable.from_columnar`), so a warm query touches no
-table memory it does not read.
+Workers keep each attached segment as it arrived: a fleet export is
+the :class:`ColumnarTable` NA reads, and a table export is wrapped as
+an :class:`ObjectTable` (:meth:`ObjectTable.from_columnar`) without a
+copy, so a warm query touches no table memory it does not read.
 
 Dispatch protocol (all messages are plain picklable tuples):
 
 * ``("attach", key, shm_name, meta, pf, tau)`` — worker opens the
-  named segment, rebuilds the table (or fleet when the export has no
-  radii) and memoises it under ``key``.  Sent lazily, once per worker
-  per segment; pipe FIFO ordering guarantees attach-before-span.
+  named segment, wraps it as a table (or keeps the fleet export when
+  it has no radii) and memoises it under ``key``.  Sent lazily, once
+  per worker per segment; pipe FIFO ordering guarantees
+  attach-before-span.
 * ``("span", task_id, key, kind, algorithm, kwargs, pf, tau,
   cand_slice, query_id, attempt, injector)`` — run one candidate span
   (``kind`` is ``"na"``/``"pin"``/``"vo_prune"``) and reply
@@ -54,7 +56,7 @@ respawns them so the pool stays warm), joins everything — no orphans —
 and raises :class:`~repro.engine.faults.DeadlineExceeded`.
 
 Results are bit-identical to serial: float64 round-trips through shared
-memory exactly, rebuilt tables reuse the exported MBRs/radii instead of
+memory exactly, attached tables reuse the exported MBRs/radii instead of
 recomputing them, and every span is a pure function of the table and
 its candidate slice (asserted in tests/test_pool.py, including under
 injected crash/delay faults and mid-batch respawns).
@@ -84,11 +86,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.object_table import (
-    ColumnarTable,
-    ObjectTable,
-    fleet_from_columnar,
-)
+from repro.core.object_table import ColumnarTable, ObjectTable
 from repro.core.result import Instrumentation
 from repro.engine.faults import (
     DeadlineExceeded,
@@ -245,8 +243,9 @@ class SpanTask:
     """One candidate-column span of one query, pool-dispatchable.
 
     Only :meth:`message` travels to a worker; ``local_context`` (the
-    parent-side table or fleet used by the degrade-to-serial fallback)
-    deliberately stays out of it so spans never pickle object data.
+    parent-side table or fleet export used by the degrade-to-serial
+    fallback) deliberately stays out of it so spans never pickle object
+    data.
     The mutable tail fields are supervision bookkeeping the pool uses
     to attribute failures/retries to the owning query.
     """
@@ -262,7 +261,7 @@ class SpanTask:
     lo: int
     hi: int
     query_id: int | None = None   # engine query id, for fault keying
-    local_context: Any = None     # parent-side table/fleet; never pickled
+    local_context: Any = None     # parent table or fleet export; not pickled
     attempt: int = 0
     failures: int = 0
     retries: int = 0
@@ -290,7 +289,7 @@ def _execute_span(kind: str, solver, data, cand_slice, pf, tau):
         with counters.phase("pruning"):
             payload = solver.pruning_phase(data, cand_slice, counters)
     else:
-        # "pin" reads the rebuilt table, "na" the rebuilt fleet
+        # "pin" reads the attached table, "na" the attached fleet
         payload = solver.compute_influence(
             data, cand_slice, pf, tau, counters
         )
@@ -356,14 +355,12 @@ def _worker_main(slot: int, conn, sibling_conns) -> None:
                 _, key, shm_name, meta, pf, tau = msg
                 shm = SharedMemory(name=shm_name)
                 cols = _attach_columnar(shm, meta)
-                if cols.radii is None:
-                    data[key] = fleet_from_columnar(cols)
-                else:
-                    # Lazy: the columnar kernels read the attached
-                    # arrays directly, so no per-object wrappers or
-                    # radius memo are built here (only a scalar/R-tree
-                    # span would materialise them on demand).
-                    data[key] = ObjectTable.from_columnar(cols, pf, tau)
+                # NA reads a fleet export as it is; a table export is
+                # wrapped, not copied, as its ObjectTable
+                data[key] = (
+                    cols if cols.radii is None
+                    else ObjectTable.from_columnar(cols, pf, tau)
+                )
                 segments[key] = shm
                 continue
             (_, task_id, key, kind, algorithm, kwargs, pf, tau,

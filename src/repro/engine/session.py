@@ -6,7 +6,7 @@ fleet of moving objects Ω.  ``select_location`` rebuilds the whole
 on every call; the engine ingests Ω once and amortises that work:
 
 * **object-table cache** — one :class:`~repro.core.object_table.ObjectTable`
-  (with its :class:`~repro.core.minmax_radius.MinMaxRadiusCache`) is
+  (the live objects' columnar export with their ``minMaxRadius``) is
   memoised per ``(PF, τ)`` and reused by every query with that pair,
 * **candidate cache** — candidate coordinate arrays, and the candidate
   R-tree when ``use_rtree=True``, are keyed by the coordinates and
@@ -61,7 +61,11 @@ import numpy as np
 
 from repro.core.base import candidates_to_array
 from repro.core.naive import NaiveAlgorithm
-from repro.core.object_table import ObjectTable, fleet_to_columnar
+from repro.core.object_table import (
+    ColumnarTable,
+    ObjectTable,
+    fleet_to_columnar,
+)
 from repro.core.pinocchio import Pinocchio
 from repro.core.pinocchio_vo import PinocchioVO
 from repro.core.result import Instrumentation, LSResult, full_table_result
@@ -324,7 +328,7 @@ class QueryEngine:
         if not self.objects:
             raise ValueError("need at least one moving object")
         # Ingest: force every object's lazy MBR memo now so no query
-        # (and no pool worker) pays for it later.  Position arrays
+        # (and no table build) pays for it later.  Position arrays
         # are already materialised, read-only, on the objects.
         for obj in self.objects:
             _ = obj.mbr
@@ -336,6 +340,10 @@ class QueryEngine:
         self.use_pool = bool(pool) and self.workers >= 2 and fork_available()
         self._pool: WorkerPool | None = None
         self._pool_lock = threading.Lock()
+        #: the fleet's columnar export, built on the first pooled NA
+        #: query: published as NA's segment and read by its degraded
+        #: local spans
+        self._fleet: ColumnarTable | None = None
         #: fault hooks handed to every worker dispatch (testing/chaos
         #: drills only — leave ``None`` in production)
         self.fault_injector = fault_injector
@@ -792,8 +800,10 @@ class QueryEngine:
         pool = self._pool_for()
         if kind == "na":
             key: tuple = ("fleet",)
-            pool.ensure_segment(key, lambda: fleet_to_columnar(self.objects))
-            local: Any = self.objects
+            if self._fleet is None:
+                self._fleet = fleet_to_columnar(self.objects)
+            local: Any = self._fleet
+            pool.ensure_segment(key, lambda: local)
         else:
             key = ("table", _pf_key(plan.pf), plan.tau)
             pool.ensure_segment(

@@ -177,20 +177,6 @@ class MBR:
         dy = max(abs(y - self.min_y), abs(y - self.max_y))
         return math.hypot(dx, dy)
 
-    def min_dist_rect(self, other: "MBR") -> float:
-        """Smallest distance between any point of this rectangle and
-        any point of ``other`` (zero when they intersect)."""
-        dx = max(other.min_x - self.max_x, 0.0, self.min_x - other.max_x)
-        dy = max(other.min_y - self.max_y, 0.0, self.min_y - other.max_y)
-        return math.hypot(dx, dy)
-
-    def max_dist_rect(self, other: "MBR") -> float:
-        """Largest distance between a point of this rectangle and a
-        point of ``other`` (realised corner-to-corner)."""
-        dx = max(self.max_x - other.min_x, other.max_x - self.min_x)
-        dy = max(self.max_y - other.min_y, other.max_y - self.min_y)
-        return math.hypot(dx, dy)
-
     def min_dist_many(self, xy: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`min_dist` for rows of a ``(n, 2)`` array."""
         x = xy[:, 0]

@@ -38,29 +38,6 @@ class MovingObject:
         self.positions = positions
         self._mbr: MBR | None = None
 
-    @classmethod
-    def from_readonly(
-        cls, object_id: int, positions: np.ndarray, mbr: MBR | None = None
-    ) -> "MovingObject":
-        """Zero-copy constructor over an already-validated array.
-
-        ``positions`` must be a read-only float64 ``(n, 2)`` array with
-        at least one finite row; the caller vouches for that instead of
-        paying the defensive copy in ``__init__``.  Used by the serving
-        pool to rebuild objects as views into a shared-memory position
-        block — copying there would defeat the sharing.  ``mbr`` seeds
-        the MBR cache so workers do not recompute it.
-        """
-        if positions.dtype != np.float64 or positions.flags.writeable:
-            raise ValueError(
-                "from_readonly needs a read-only float64 array"
-            )
-        obj = cls.__new__(cls)
-        obj.object_id = int(object_id)
-        obj.positions = positions
-        obj._mbr = mbr
-        return obj
-
     @property
     def n_positions(self) -> int:
         """The paper's ``n`` — how many positions the object has."""

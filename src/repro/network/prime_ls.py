@@ -9,8 +9,10 @@ Pruning: network distance dominates Euclidean distance
 (``spdist ≥ dist``), so ``PF(spdist) ≤ PF(dist)`` and Theorem 2 applied
 with *Euclidean* ``minDist(c, MBR(O))`` remains sound — a candidate
 outside the Euclidean non-influence boundary cannot influence the
-object under any road network either.  The influence-arcs rule
-(Theorem 1) does **not** survive the metric change and is not used.
+object under any road network either.  The split is the guarded
+:func:`repro.core.pruning.classify_span` of every other exact solver.
+The influence-arcs rule (Theorem 1) does **not** survive the metric
+change, so IA pairs are validated like band pairs.
 
 Per candidate, one Dijkstra resolves every surviving pair.  In exact
 mode the Dijkstra is unbounded; the optional bounded mode cuts it at
@@ -26,9 +28,10 @@ import math
 
 import numpy as np
 
-from repro.core.base import LocationSelector
+from repro.core.base import LocationSelector, candidates_to_array
 from repro.core.influence import influence_threshold_log
 from repro.core.object_table import ObjectTable
+from repro.core.pruning import classify_span
 from repro.core.result import Instrumentation, LSResult
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -63,33 +66,38 @@ class NetworkPrimeLS(LocationSelector):
         m = len(candidates)
         counters.pairs_total = table.live_count * m
         log_threshold = influence_threshold_log(tau)
+        cols = table.to_columnar()
+        mbrs, radii = table.mbr_radius_arrays()
 
         # Snap everything to network nodes once.
         object_nodes = [
-            [self.network.snap(float(x), float(y)) for x, y in e.obj.positions]
-            for e in table.entries
+            [
+                self.network.snap(float(x), float(y))
+                for x, y in cols.object_positions(i)
+            ]
+            for i in range(table.live_count)
         ]
         candidate_nodes = [self.network.snap(c.x, c.y) for c in candidates]
 
-        max_radius = max((e.radius for e in table.entries), default=0.0)
-        cutoff = None if self.exact else max_radius
+        cutoff = None if self.exact else float(radii.max(initial=0.0))
 
+        # Euclidean NIB pruning, sound because spdist >= dist: only the
+        # pairs the guarded split does not NIB-prune are validated,
+        # IA pairs included (Theorem 1 does not hold on the network).
+        ia, band = classify_span(mbrs, radii, candidates_to_array(candidates))
+        survivors = ia | band
         influence = np.zeros(m, dtype=int)
-        cand_xy = np.array([(c.x, c.y) for c in candidates])
         for j in range(m):
             dists = self.network.shortest_path_lengths(
                 candidate_nodes[j], cutoff=cutoff
             )
-            for e_idx, entry in enumerate(table.entries):
-                # Euclidean NIB pruning: sound because spdist >= dist.
-                if entry.mbr.min_dist(cand_xy[j, 0], cand_xy[j, 1]) > entry.radius:
-                    counters.pairs_pruned_nib += 1
-                    continue
+            rows = np.flatnonzero(survivors[:, j])
+            counters.pairs_pruned_nib += table.live_count - rows.size
+            for i in rows.tolist():
                 counters.pairs_validated += 1
-                n = entry.obj.n_positions
-                counters.positions_total += n
+                counters.positions_total += len(object_nodes[i])
                 s = self._log_non_influence(
-                    object_nodes[e_idx], dists, pf, counters
+                    object_nodes[i], dists, pf, counters
                 )
                 if s <= log_threshold:
                     influence[j] += 1

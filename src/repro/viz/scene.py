@@ -6,6 +6,8 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.object_table import ObjectTable
+from repro.geo.mbr import MBR
+from repro.geo.regions import InfluenceArcsRegion, NonInfluenceBoundary
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
 from repro.prob.base import ProbabilityFunction
@@ -33,7 +35,11 @@ def render_scene(
     """
     if not objects:
         raise ValueError("need at least one object to render")
-    table = ObjectTable(objects, pf, tau)
+    cols = ObjectTable(objects, pf, tau).to_columnar()
+    rows = [
+        (MBR(*mbr), radius)
+        for mbr, radius in zip(cols.mbrs.tolist(), cols.radii.tolist())
+    ]
 
     # Viewport: bound everything we are going to draw.
     min_x = min(o.mbr.min_x for o in objects)
@@ -41,8 +47,8 @@ def render_scene(
     max_x = max(o.mbr.max_x for o in objects)
     max_y = max(o.mbr.max_y for o in objects)
     if show_regions:
-        for entry in table:
-            bbox = entry.nib_bbox
+        for mbr, radius in rows:
+            bbox = mbr.expanded(radius)
             min_x = min(min_x, bbox.min_x)
             min_y = min(min_y, bbox.min_y)
             max_x = max(max_x, bbox.max_x)
@@ -57,20 +63,20 @@ def render_scene(
         min_x - pad, min_y - pad, max_x + pad, max_y + pad, width_px=width_px
     )
 
-    for k, entry in enumerate(table):
+    for k, (mbr, radius) in enumerate(rows):
         color = PALETTE[k % len(PALETTE)]
-        for x, y in entry.obj.positions:
+        for x, y in cols.object_positions(k):
             canvas.circle(float(x), float(y), 2.5, fill=color, opacity=0.8)
-        canvas.rect(*entry.mbr.as_tuple(), stroke=color, stroke_width=1.0)
+        canvas.rect(*mbr.as_tuple(), stroke=color, stroke_width=1.0)
         if show_regions:
-            ia_boundary = entry.ia.boundary()
+            ia_boundary = InfluenceArcsRegion(mbr, radius).boundary()
             if ia_boundary.size:
                 canvas.polyline(
                     ia_boundary, stroke=color, stroke_width=1.2, closed=True
                 )
             canvas.polyline(
-                entry.nib.boundary(), stroke=color, stroke_width=1.0,
-                closed=True, dash="5,4",
+                NonInfluenceBoundary(mbr, radius).boundary(),
+                stroke=color, stroke_width=1.0, closed=True, dash="5,4",
             )
 
     for cand in candidates:

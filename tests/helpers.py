@@ -43,6 +43,35 @@ def make_candidates(
     ]
 
 
+#: a 1-position object cannot reach τ = 0.7 under this PF (it is
+#: dead), while objects of four or more positions can
+DEAD_ROWS_PF = LinearPF(rho=0.5, scale=10.0)
+
+
+def dead_row_fleet(dead_at: str) -> tuple[list, list]:
+    """``(fleet, live)`` for :data:`DEAD_ROWS_PF` at τ = 0.7.
+
+    ``live`` is three objects of 30, 4 and 17 positions; ``fleet`` adds
+    two dead 1-position objects ``"first"``, in the ``"middle"`` (after
+    the first live object) or ``"last"``.
+    """
+    rng = np.random.default_rng(0)
+    live = [
+        MovingObject(oid, rng.uniform(0, 5, size=(n, 2)))
+        for oid, n in [(10, 30), (11, 4), (12, 17)]
+    ]
+    dead = [
+        MovingObject(oid, rng.uniform(0, 5, size=(1, 2)))
+        for oid in (20, 21)
+    ]
+    fleet = {
+        "first": dead + live,
+        "middle": live[:1] + dead + live[1:],
+        "last": live + dead,
+    }[dead_at]
+    return fleet, live
+
+
 #: every shipped PF at its defaults, by name
 SHIPPED_PFS = {
     "powerlaw": PowerLawPF(),

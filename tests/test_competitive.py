@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import competitive as competitive_module
 from repro.core.competitive import CompetitivePrimeLS, marginal_influence
+from repro.core.minmax_radius import min_max_radius
 from repro.core.naive import NaiveAlgorithm
 from repro.model import Candidate, MovingObject
 from repro.prob import PowerLawPF
@@ -25,12 +27,28 @@ def brute_marginal_influences(objects, candidates, facilities, pf, tau):
 
 
 class TestCompetitive:
-    def test_no_facilities_reduces_to_prime_ls(self, pf, rng):
+    def test_no_facilities_reduces_to_prime_ls(self, pf, rng, monkeypatch):
         objects = make_objects(rng, 12)
+        # a shifted twin per object, so every n occurs at least twice
+        objects += [
+            MovingObject(100 + obj.object_id, obj.positions + 1.0)
+            for obj in objects
+        ]
         candidates = make_candidates(rng, 10)
         plain = NaiveAlgorithm().select(objects, candidates, pf, 0.6)
+        calls = []
+
+        def counting(pf, tau, n):
+            calls.append(n)
+            return min_max_radius(pf, tau, n)
+
+        monkeypatch.setattr(competitive_module, "min_max_radius", counting)
         competitive = CompetitivePrimeLS([]).select(objects, candidates, pf, 0.6)
         assert competitive.influences == plain.influences
+        # Without incumbents every object has the same τ_O, so the
+        # radius is inverted once per distinct n.
+        distinct_n = {obj.n_positions for obj in objects}
+        assert sorted(calls) == sorted(distinct_n)
 
     def test_matches_reference_predicate(self, pf, rng):
         objects = make_objects(rng, 12, extent=20.0)

@@ -153,17 +153,21 @@ class TestCrashRecovery:
         self, world, candidates, pf, serial_answers
     ):
         # times exceeds the retry budget: attempts 0..2 all die, then
-        # the missing span runs serially in the parent.
-        with make_engine(
-            world, [FaultSpec(kind="crash", worker=0, times=99)]
-        ) as engine:
-            got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert_same_result(got, serial_answers["PIN"], counters=True)
-        assert engine.stats.worker_failures == 3  # initial + 2 retries
-        assert engine.stats.retries == 2
-        assert engine.stats.degraded == 1
-        assert got.instrumentation.degraded == 1
-        assert_no_orphans()
+        # the missing span runs serially in the parent -- on the cached
+        # table for PIN, on the engine's fleet export for NA.
+        for algorithm in ("PIN", "NA"):
+            with make_engine(
+                world, [FaultSpec(kind="crash", worker=0, times=99)]
+            ) as engine:
+                got = engine.query(
+                    candidates, pf=pf, tau=0.7, algorithm=algorithm
+                )
+            assert_same_result(got, serial_answers[algorithm], counters=True)
+            assert engine.stats.worker_failures == 3  # initial + 2 retries
+            assert engine.stats.retries == 2
+            assert engine.stats.degraded == 1
+            assert got.instrumentation.degraded == 1
+            assert_no_orphans()
 
     def test_fault_keyed_to_query_id_spares_other_queries(
         self, world, candidates, pf

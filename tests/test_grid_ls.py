@@ -7,40 +7,9 @@ from hypothesis import strategies as st
 
 from repro.core.grid_ls import GridPartitionLS, optimal_grid_size
 from repro.core.naive import NaiveAlgorithm
-from repro.geo.mbr import MBR
 from repro.prob import PowerLawPF
 
 from tests.helpers import make_candidates, make_objects
-
-
-class TestRectToRectDistances:
-    def test_min_dist_rect_disjoint(self):
-        a = MBR(0, 0, 1, 1)
-        b = MBR(4, 5, 6, 7)
-        assert a.min_dist_rect(b) == pytest.approx(np.hypot(3, 4))
-        assert b.min_dist_rect(a) == pytest.approx(np.hypot(3, 4))
-
-    def test_min_dist_rect_overlapping_is_zero(self):
-        assert MBR(0, 0, 2, 2).min_dist_rect(MBR(1, 1, 3, 3)) == 0.0
-
-    def test_max_dist_rect(self):
-        a = MBR(0, 0, 1, 1)
-        b = MBR(2, 2, 3, 3)
-        assert a.max_dist_rect(b) == pytest.approx(np.hypot(3, 3))
-        assert b.max_dist_rect(a) == pytest.approx(np.hypot(3, 3))
-
-    def test_rect_distances_bound_point_distances(self, rng):
-        a = MBR(0, 0, 3, 2)
-        b = MBR(5, 1, 8, 6)
-        pa = np.column_stack(
-            [rng.uniform(a.min_x, a.max_x, 200), rng.uniform(a.min_y, a.max_y, 200)]
-        )
-        pb = np.column_stack(
-            [rng.uniform(b.min_x, b.max_x, 200), rng.uniform(b.min_y, b.max_y, 200)]
-        )
-        d = np.hypot(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1])
-        assert np.all(d >= a.min_dist_rect(b) - 1e-9)
-        assert np.all(d <= a.max_dist_rect(b) + 1e-9)
 
 
 class TestGridPartitionLS:

@@ -34,7 +34,12 @@ from repro.engine import FaultInjector, FaultSpec, QueryRequest, pool_segments
 from repro.engine.pool import fork_available
 from repro.prob import PowerLawPF
 
-from .helpers import make_candidates, make_objects
+from .helpers import (
+    DEAD_ROWS_PF,
+    dead_row_fleet,
+    make_candidates,
+    make_objects,
+)
 from .test_engine import ALGORITHMS, assert_same_result
 from .test_faults import assert_no_orphans, fast_policy
 
@@ -200,14 +205,13 @@ class TestSupervision:
 
 
 class TestWorkerRebuild:
-    """The worker-side table rebuild is dead weight no more.
+    """The worker-side table is the attached export, wrapped.
 
     Workers attach a shared segment and serve columnar spans straight
-    off its arrays — no per-object ``ObjectEntry`` wrappers and no
-    fresh ``MinMaxRadiusCache`` are built any more.  These tests run
-    the exact span code path on a table rebuilt from a columnar export
-    and assert both the laziness and the unchanged answers, then check
-    a real pooled engine still leaves ``/dev/shm`` spotless.
+    off its arrays.  These tests run the exact span code path on a
+    table rebuilt from a columnar export and assert the unchanged
+    answers, check the shared-memory round trip array by array, then
+    check a real pooled engine still leaves ``/dev/shm`` spotless.
     """
 
     def test_columnar_spans_never_materialise_entries(self, world, candidates, pf):
@@ -220,8 +224,6 @@ class TestWorkerRebuild:
         cand_xy = candidates_to_array(candidates)
         table = ObjectTable(world, pf, 0.7)
         rebuilt = ObjectTable.from_columnar(table.to_columnar(), pf, 0.7)
-        assert not rebuilt.entries_materialised
-        assert rebuilt._radius_cache is None
 
         # "pin" span: full influence table on the rebuilt table.
         got_counters, want_counters = Instrumentation(), Instrumentation()
@@ -246,34 +248,34 @@ class TestWorkerRebuild:
         for g, w in zip(got_vs, want_vs):
             np.testing.assert_array_equal(g, w)
 
-        # Neither span kind woke the per-object wrappers or the memo.
-        assert not rebuilt.entries_materialised
-        assert rebuilt._radius_cache is None
-
     def test_segment_round_trip_keeps_the_column_block(self, world, pf):
         from repro.core.object_table import ObjectTable
         from repro.engine.pool import _attach_columnar, _pack_segment
 
-        cols = ObjectTable(world, pf, 0.7).to_columnar()
-        shm, meta = _pack_segment(cols)
-        try:
-            attached = _attach_columnar(shm, meta)
-            want_arrays, got_arrays = cols.arrays(), attached.arrays()
-            assert got_arrays.keys() == want_arrays.keys()
-            for name, want in want_arrays.items():
-                got = got_arrays[name]
-                assert not got.flags.writeable, name
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes(), name
-            assert attached.xy.shape == (2, int(cols.offsets[-1]))
-            assert attached.xy.flags.c_contiguous
-            x, y = attached.xy
-            assert x.flags.c_contiguous and y.flags.c_contiguous
-            assert attached.dead_objects == cols.dead_objects
-            del attached, got_arrays, got, x, y
-            shm.close()
-        finally:
-            shm.unlink()
+        # ...and a fleet whose dead rows sit between live ones
+        middle_dead, _ = dead_row_fleet("middle")
+        dead_rows = ObjectTable(middle_dead, DEAD_ROWS_PF, 0.7).to_columnar()
+        assert dead_rows.dead_objects == 2
+        for cols in (ObjectTable(world, pf, 0.7).to_columnar(), dead_rows):
+            shm, meta = _pack_segment(cols)
+            try:
+                attached = _attach_columnar(shm, meta)
+                want_arrays, got_arrays = cols.arrays(), attached.arrays()
+                assert got_arrays.keys() == want_arrays.keys()
+                for name, want in want_arrays.items():
+                    got = got_arrays[name]
+                    assert not got.flags.writeable, name
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes(), name
+                assert attached.xy.shape == (2, int(cols.offsets[-1]))
+                assert attached.xy.flags.c_contiguous
+                x, y = attached.xy
+                assert x.flags.c_contiguous and y.flags.c_contiguous
+                assert attached.dead_objects == cols.dead_objects
+                del attached, got_arrays, got, x, y
+                shm.close()
+            finally:
+                shm.unlink()
 
     def test_columnar_spans_keep_shm_clean(self, world, candidates, pf):
         with pooled_engine(world) as engine:

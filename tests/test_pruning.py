@@ -20,7 +20,6 @@ from repro.core.pinocchio_vo import PinocchioVO
 from repro.core.portfolio import influence_bitsets
 from repro.core.pruning import (
     CLASSIFY_CHUNK,
-    classify_chunk,
     classify_span,
     classify_table_chunks,
     nib_boxes,
@@ -31,6 +30,7 @@ from repro.core.sketch import InfluenceSketch
 from repro.core.topk import TopKPrimeLS
 from repro.core.weighted import WeightedPrimeLS
 from repro.engine.pool import _attach_columnar, _pack_segment
+from repro.geo.mbr import MBR
 from repro.index import RTree
 from repro.model import MovingObject
 from repro.prob import LogsigPF, PowerLawPF
@@ -43,13 +43,24 @@ from tests.helpers import (
 )
 
 
-def brute_split(entry, cand_xy):
-    """The three-way split computed straight from the definitions."""
+def table_rows(table):
+    """``[(MBR, radius)]``, one per row of the table's export."""
+    mbrs, radii = table.mbr_radius_arrays()
+    return [
+        (MBR(*mbr), radius)
+        for mbr, radius in zip(mbrs.tolist(), radii.tolist())
+    ]
+
+
+def brute_split(row, cand_xy):
+    """The three-way split of one ``(MBR, radius)`` row computed
+    straight from the definitions."""
+    mbr, radius = row
     certain, maybe, pruned = [], [], []
     for j, (x, y) in enumerate(cand_xy):
-        if entry.mbr.max_dist(x, y) <= entry.radius:
+        if mbr.max_dist(x, y) <= radius:
             certain.append(j)
-        elif entry.mbr.min_dist(x, y) > entry.radius:
+        elif mbr.min_dist(x, y) > radius:
             pruned.append(j)
         else:
             maybe.append(j)
@@ -87,10 +98,10 @@ class TestClassifyCandidates:
         table, cand_xy = table_and_candidates
         rtree = RTree.bulk_load(cand_xy)
         split = rtree_split(table, cand_xy, rtree)
-        for entry, (got_certain, got_maybe, pruned_nib) in zip(
-            table, split
+        for row, (got_certain, got_maybe, pruned_nib) in zip(
+            table_rows(table), split
         ):
-            certain, maybe, pruned = brute_split(entry, cand_xy)
+            certain, maybe, pruned = brute_split(row, cand_xy)
             assert got_certain.tolist() == certain
             assert got_maybe.tolist() == maybe
             assert pruned_nib == len(pruned)
@@ -98,9 +109,9 @@ class TestClassifyCandidates:
     def test_matches_brute_force_without_rtree(self, table_and_candidates):
         table, cand_xy = table_and_candidates
         mbrs, radii = table.mbr_radius_arrays()
-        for i, entry in enumerate(table):
+        for i, row in enumerate(table_rows(table)):
             ia, band = classify_span(mbrs[i : i + 1], radii[i : i + 1], cand_xy)
-            certain, maybe, pruned = brute_split(entry, cand_xy)
+            certain, maybe, pruned = brute_split(row, cand_xy)
             assert np.flatnonzero(ia[0]).tolist() == certain
             assert np.flatnonzero(band[0]).tolist() == maybe
             assert int(np.count_nonzero(~ia[0] & ~band[0])) == len(pruned)
@@ -118,15 +129,15 @@ class TestClassifyCandidates:
 class TestClassifyChunk:
     def test_matches_per_object_classification(self, table_and_candidates):
         table, cand_xy = table_and_candidates
-        ia, band = classify_chunk(table.entries, cand_xy)
-        for i, entry in enumerate(table.entries):
-            certain, maybe, _ = brute_split(entry, cand_xy)
+        ia, band = classify_span(*table.mbr_radius_arrays(), cand_xy)
+        for i, row in enumerate(table_rows(table)):
+            certain, maybe, _ = brute_split(row, cand_xy)
             assert sorted(np.nonzero(ia[i])[0].tolist()) == certain
             assert sorted(np.nonzero(band[i])[0].tolist()) == maybe
 
     def test_ia_and_band_disjoint(self, table_and_candidates):
         table, cand_xy = table_and_candidates
-        ia, band = classify_chunk(table.entries, cand_xy)
+        ia, band = classify_span(*table.mbr_radius_arrays(), cand_xy)
         assert not np.any(ia & band)
 
     def test_chunks_cover_all_entries(self, table_and_candidates):
@@ -139,11 +150,11 @@ class TestClassifyChunk:
             assert ia.shape == (rows.size, cols.size)
             assert band.shape == ia.shape
             seen.extend(rows.tolist())
-        assert sorted(seen) == list(range(len(table.entries)))
+        assert sorted(seen) == list(range(table.live_count))
 
     def test_chunking_invariant_to_chunk_size(self, table_and_candidates):
         table, cand_xy = table_and_candidates
-        full_ia, full_band = classify_chunk(table.entries, cand_xy)
+        full_ia, full_band = classify_span(*table.mbr_radius_arrays(), cand_xy)
         ia, band = scattered_table_chunks(table, cand_xy, chunk_size=3)
         np.testing.assert_array_equal(ia, full_ia)
         np.testing.assert_array_equal(band, full_band)
@@ -208,6 +219,18 @@ def scattered_table_chunks(table, cand_xy, chunk_size=CLASSIFY_CHUNK):
 def dense_classification(table, cand_xy):
     """The dense reference: one :func:`classify_span` over every pair."""
     mbrs, radii = table.mbr_radius_arrays()
+    return classify_span(mbrs, radii, cand_xy)
+
+
+def split_of_rebuilt_rows(table, cand_xy):
+    """:func:`classify_span` over the table's rows rebuilt as ``MBR``
+    objects and back, the float64 round trip that PIN-VO's scalar
+    kernel, NET and the viz take."""
+    rows = table_rows(table)
+    mbrs = np.array(
+        [mbr.as_tuple() for mbr, _ in rows], dtype=np.float64
+    ).reshape(len(rows), 4)
+    radii = np.array([radius for _, radius in rows], dtype=np.float64)
     return classify_span(mbrs, radii, cand_xy)
 
 
@@ -281,17 +304,17 @@ def blocked_worlds(draw):
 
 
 class TestColumnarIdentity:
-    """The blocked scan splits exactly like every dense and legacy path."""
+    """The blocked scan splits exactly like every dense and row path."""
 
-    def test_classify_span_matches_classify_chunk(
+    def test_classify_span_matches_rows_rebuilt_as_mbrs(
         self, table_and_candidates
     ):
         table, cand_xy = table_and_candidates
-        legacy_ia, legacy_band = classify_chunk(table.entries, cand_xy)
+        row_ia, row_band = split_of_rebuilt_rows(table, cand_xy)
         mbrs, radii = table.mbr_radius_arrays()
         ia, band = classify_span(mbrs, radii, cand_xy)
-        np.testing.assert_array_equal(ia, legacy_ia)
-        np.testing.assert_array_equal(band, legacy_band)
+        np.testing.assert_array_equal(ia, row_ia)
+        np.testing.assert_array_equal(band, row_band)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -310,11 +333,11 @@ class TestColumnarIdentity:
         np.testing.assert_array_equal(ia, dense_ia)
         np.testing.assert_array_equal(band, dense_band)
 
-        # Legacy entry-list kernel on the same entries.
-        legacy_ia, legacy_band = classify_chunk(table.entries, cand_xy)
+        # The same rows rebuilt as MBR objects and back.
+        row_ia, row_band = split_of_rebuilt_rows(table, cand_xy)
         shape = (table.live_count, m)
-        np.testing.assert_array_equal(ia, legacy_ia.reshape(shape))
-        np.testing.assert_array_equal(band, legacy_band.reshape(shape))
+        np.testing.assert_array_equal(ia, row_ia.reshape(shape))
+        np.testing.assert_array_equal(band, row_band.reshape(shape))
 
         # The R-tree block source, one row per block.
         rtree_ia, rtree_band = scattered_blocks(
@@ -456,7 +479,7 @@ class TestBlockedScan:
         )
         np.testing.assert_array_equal(ia, want_ia)
         np.testing.assert_array_equal(band, want_band)
-        assert not rebuilt.entries_materialised
+        assert rebuilt.to_columnar() is table.to_columnar()
 
 
 class TestGuardBand:
@@ -547,8 +570,8 @@ class TestEdgeCases:
         # minDist is zero inside the MBR, so the NIB rule can't fire.
         objects = make_objects(rng, 5, extent=20.0, n_range=(5, 30))
         table = ObjectTable(objects, pf, 0.9)
-        for i, entry in enumerate(table):
-            center = entry.mbr.center
+        for i, (mbr, _) in enumerate(table_rows(table)):
+            center = mbr.center
             cand_xy = np.array([[center.x, center.y]])
             split = rtree_split(table, cand_xy, RTree.bulk_load(cand_xy))
             assert split[i][2] == 0

@@ -2,10 +2,11 @@
 
 Six checks, all cheap enough for every CI run:
 
-1. every relative link in ``README.md`` and ``docs/**/*.md`` resolves
-   to a file that exists (external ``http(s)``/``mailto`` links and
-   pure ``#fragment`` anchors are skipped, fragments are stripped
-   before resolving);
+1. every relative link in the doc files (``README.md``, ``DESIGN.md``,
+   ``EXPERIMENTS.md`` and ``docs/**/*.md``) resolves to a file that
+   exists (external ``http(s)``/``mailto`` links and pure
+   ``#fragment`` anchors are skipped, fragments are stripped before
+   resolving);
 2. every public method and property of ``repro.engine.QueryEngine``
    is mentioned in ``docs/api.md`` — the API reference must not
    silently fall behind the engine surface;
@@ -15,15 +16,15 @@ Six checks, all cheap enough for every CI run:
 4. every ``pinls_*`` Prometheus series name that appears as a literal
    anywhere under ``src/`` is cataloged in ``docs/observability.md``
    — the metric catalog must be the complete scrape surface;
-5. every backticked ``repro.…`` dotted name in ``README.md`` and
-   ``docs/**/*.md`` (outside fenced code blocks) resolves: its longest
-   importable prefix imports and ``getattr`` finds the rest — a
-   deleted module, class or function must not live on in the docs;
+5. every backticked ``repro.…`` dotted name in the doc files (outside
+   fenced code blocks) resolves: its longest importable prefix
+   imports and ``getattr`` finds the rest — a deleted module, class or
+   function must not live on in the docs;
 6. every repo-relative path in an inline code span, every such
    ``*.py`` path on a fenced line, and every ``make <target>`` in a
-   code span or at the start of a fenced line exists in the checkout
-   — a deleted script or make target must not live on in the docs
-   either.
+   code span or at the start of a fenced line of the doc files exists
+   in the checkout — a deleted script or make target must not live on
+   in the docs either.
 
 Exit status 0 when all pass, 1 with one line per problem otherwise.
 Run as ``PYTHONPATH=src python tools/check_docs.py`` from the repo
@@ -47,8 +48,14 @@ _FENCE = re.compile(r"^\s*(```|~~~)")
 
 
 def doc_files() -> list[Path]:
-    """``README.md`` plus every markdown file under ``docs/``."""
-    return [REPO / "README.md", *sorted((REPO / "docs").rglob("*.md"))]
+    """``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` and every
+    markdown file under ``docs/``."""
+    return [
+        REPO / "README.md",
+        REPO / "DESIGN.md",
+        REPO / "EXPERIMENTS.md",
+        *sorted((REPO / "docs").rglob("*.md")),
+    ]
 
 
 def split_fences(path: Path) -> tuple[str, list[tuple[int, str]]]:
