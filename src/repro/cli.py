@@ -151,7 +151,7 @@ def _cmd_trace_summary(path: str | None) -> int:
         print(
             "prime-ls trace-summary: needs a trace file, e.g. "
             "'prime-ls trace-summary traces.jsonl' (write one with "
-            "'prime-ls serve-bench --trace traces.jsonl')",
+            "QueryEngine(objects, trace_path='traces.jsonl'))",
             file=sys.stderr,
         )
         return 2
@@ -177,12 +177,14 @@ def _cmd_serve(
     inject_faults: list[str] | None,
 ) -> int:
     """Run the HTTP front end over a synthetic world until SIGTERM."""
+    from repro.datasets import gowalla_like
     from repro.engine import (
         SHED_POLICIES,
+        FaultInjector,
         FaultSpec,
+        QueryEngine,
         TenantAdmission,
         TenantBudget,
-        build_serving_engine,
         run_server,
     )
 
@@ -230,8 +232,14 @@ def _cmd_serve(
         except ValueError as exc:
             print(f"--inject-fault: {exc}", file=sys.stderr)
             return 2
-    engine, _ = build_serving_engine(
-        workers=workers, pool=pool, approx=approx, faults=faults
+    # Engine-level admission stays off: the front end admits per
+    # tenant, and a second budget in the engine would double-count.
+    engine = QueryEngine(
+        gowalla_like(scale=0.05, seed=7).dataset.objects,
+        workers=workers,
+        pool=pool,
+        approx=approx,
+        fault_injector=FaultInjector(faults) if faults else None,
     )
     tenants = TenantAdmission(
         default=TenantBudget(
@@ -254,187 +262,10 @@ def _cmd_serve(
     )
 
 
-def _cmd_serve_bench_server(
-    offered_qps: float,
-    duration: float,
-    tenants: int,
-    workers: int,
-    pool: bool,
-    approx: bool,
-    max_inflight: int | None,
-    shed_policy: str | None,
-    server_url: str | None,
-) -> int:
-    """Open-loop HTTP bench: serve-bench with --server/--server-url."""
-    from repro.engine import run_server_bench
-
-    if offered_qps <= 0:
-        print(
-            f"--offered-qps must be > 0, got {offered_qps}", file=sys.stderr
-        )
-        return 2
-    if duration <= 0:
-        print(f"--duration must be > 0, got {duration}", file=sys.stderr)
-        return 2
-    if tenants < 1:
-        print(f"--tenants must be >= 1, got {tenants}", file=sys.stderr)
-        return 2
-    try:
-        out = run_server_bench(
-            offered_qps=offered_qps,
-            duration=duration,
-            tenants=tenants,
-            workers=workers,
-            pool=pool,
-            approx=approx,
-            max_inflight=max_inflight if max_inflight is not None else 2,
-            shed_policy=shed_policy or "reject",
-            server_url=server_url,
-        )
-    except ValueError as exc:
-        print(f"serve-bench --server: {exc}", file=sys.stderr)
-        return 2
-    for line in out["summary_lines"]:
-        print(line)
-    if "drain" in out:
-        tenants_snap = out["drain"]["tenants"]
-        for name in sorted(tenants_snap):
-            snap = tenants_snap[name]
-            print(
-                f"tenant {name}: offered={snap['offered']} "
-                f"admitted={snap['admitted']} shed={snap['shed']} "
-                f"(policy {snap['policy']})"
-            )
-    return 0
-
-
-def _cmd_serve_bench(
-    queries: int,
-    workers: int,
-    out_csv: str | None,
-    deadline: float | None,
-    inject_faults: list[str] | None,
-    pool: bool = False,
-    batch: bool = False,
-    max_inflight: int | None = None,
-    shed_policy: str | None = None,
-    breaker: int | None = None,
-    trace: str | None = None,
-    metrics_port: int | None = None,
-    approx: bool = False,
-) -> int:
-    """Run the warm-vs-cold serving benchmark (see repro.engine.bench)."""
-    from repro.engine import SHED_POLICIES, FaultSpec, run_serve_bench
-    from repro.engine.faults import WORKER_FAULT_KINDS
-
-    if queries < 1:
-        print(f"--queries must be >= 1, got {queries}", file=sys.stderr)
-        return 2
-    if workers < 0:
-        print(f"--workers must be >= 0, got {workers}", file=sys.stderr)
-        return 2
-    if deadline is not None and deadline <= 0:
-        print(f"--deadline must be > 0, got {deadline}", file=sys.stderr)
-        return 2
-    if max_inflight is not None and max_inflight <= 0:
-        print(
-            f"--max-inflight must be >= 1, got {max_inflight}",
-            file=sys.stderr,
-        )
-        return 2
-    if shed_policy is not None and shed_policy not in SHED_POLICIES:
-        print(
-            f"--shed-policy must be one of {', '.join(SHED_POLICIES)}; "
-            f"got {shed_policy!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if shed_policy is not None and max_inflight is None:
-        print(
-            "--shed-policy needs --max-inflight (admission control is "
-            "off without an in-flight budget)",
-            file=sys.stderr,
-        )
-        return 2
-    if breaker is not None and breaker <= 0:
-        print(f"--breaker must be >= 1, got {breaker}", file=sys.stderr)
-        return 2
-    if metrics_port is not None and not 0 <= metrics_port <= 65535:
-        print(
-            f"--metrics-port must be in [0, 65535], got {metrics_port}",
-            file=sys.stderr,
-        )
-        return 2
-    if trace is not None:
-        # Fail fast (exit 2, like every other bad flag) instead of
-        # discovering an unwritable trace path mid-benchmark.
-        from pathlib import Path
-
-        trace_file = Path(trace)
-        try:
-            trace_file.parent.mkdir(parents=True, exist_ok=True)
-            with open(trace_file, "a"):
-                pass
-        except OSError as exc:
-            print(f"--trace: cannot write {trace!r}: {exc}", file=sys.stderr)
-            return 2
-    faults = []
-    for text in inject_faults or []:
-        try:
-            faults.append(FaultSpec.parse(text))
-        except ValueError as exc:
-            print(f"--inject-fault: {exc}", file=sys.stderr)
-            return 2
-    worker_faults = [f for f in faults if f.kind in WORKER_FAULT_KINDS]
-    if worker_faults and workers < 2:
-        print(
-            "--inject-fault needs --workers >= 2 for worker fault "
-            "kinds (they only fire in worker processes)",
-            file=sys.stderr,
-        )
-        return 2
-    if (pool or batch) and workers < 2:
-        print(
-            "--pool/--batch need --workers >= 2 (a worker pool needs "
-            "at least two workers)",
-            file=sys.stderr,
-        )
-        return 2
-    if workers >= 2 and not (pool or batch):
-        print("--workers >= 2 needs --pool", file=sys.stderr)
-        return 2
-    result = run_serve_bench(
-        n_queries=queries,
-        workers=workers,
-        deadline_seconds=deadline,
-        faults=faults,
-        pool=pool or batch,
-        batch=batch,
-        max_inflight=max_inflight,
-        shed_policy=shed_policy or "reject",
-        breaker_threshold=breaker,
-        trace_path=trace,
-        metrics_port=metrics_port,
-        approx=approx,
-    )
-    print(result.render())
-    if out_csv:
-        from repro.experiments.export import export_result
-
-        print(f"\nCSV written to {export_result(result, out_csv)}")
-    return 0
-
-
 #: which option flags each command actually consumes; anything else on
 #: the command line would be silently dropped, so we reject it instead
 _ALLOWED_FLAGS = {
     "demo": {"--svg"},
-    "serve-bench": {
-        "--csv", "--queries", "--workers", "--deadline", "--inject-fault",
-        "--pool", "--batch", "--max-inflight", "--shed-policy", "--breaker",
-        "--trace", "--metrics-port", "--approx", "--server", "--server-url",
-        "--offered-qps", "--duration", "--tenants",
-    },
     "serve": {
         "--port", "--host", "--workers", "--pool", "--approx",
         "--max-inflight", "--max-queue-depth", "--shed-policy",
@@ -477,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         default="list",
         help=(
             "experiment name, 'all', 'list' (default), 'demo', "
-            "'serve-bench', 'serve', or 'trace-summary'"
+            "'serve', or 'trace-summary'"
         ),
     )
     parser.add_argument(
@@ -497,28 +328,14 @@ def main(argv: list[str] | None = None) -> int:
         help="export the experiment's sweep series to a CSV file",
     )
     parser.add_argument(
-        "--queries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with 'serve-bench': number of measured queries (default 12)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
         help=(
-            "with 'serve-bench'/'serve': pool worker processes "
+            "with 'serve': pool worker processes "
             "(>= 2 needs --pool; default 0 = serial)"
         ),
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="with 'serve-bench': per-query deadline for warm queries",
     )
     parser.add_argument(
         "--inject-fault",
@@ -526,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="SPEC",
         help=(
-            "with 'serve-bench': inject a fault, "
+            "with 'serve': inject a fault, "
             "KIND[:WORKER[:QUERY[:SECONDS]]] with KIND one of "
             "crash/exception/delay (worker kinds) or "
             "overload/memory-pressure/exact-down (parent kinds) and "
@@ -538,17 +355,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         default=False,
         help=(
-            "with 'serve-bench'/'serve': serve queries from the "
-            "persistent shared-memory worker pool (needs --workers >= 2)"
-        ),
-    )
-    parser.add_argument(
-        "--batch",
-        action="store_true",
-        default=False,
-        help=(
-            "with 'serve-bench': admit all warm queries in one "
-            "query_batch round through the pool (implies --pool)"
+            "with 'serve': serve queries from the persistent "
+            "shared-memory worker pool (needs --workers >= 2)"
         ),
     )
     parser.add_argument(
@@ -557,9 +365,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help=(
-            "with 'serve-bench': admission budget for concurrently "
-            "admitted warm queries; excess queries are shed (with "
-            "--batch, at most N + queue-depth requests per round run)"
+            "with 'serve': per-tenant budget of concurrently admitted "
+            "requests (default 4); excess requests wait in line or "
+            "are shed"
         ),
     )
     parser.add_argument(
@@ -567,40 +375,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="POLICY",
         help=(
-            "with 'serve-bench': which queries to shed when admission "
-            "overflows — reject, oldest, or by-priority (needs "
-            "--max-inflight)"
-        ),
-    )
-    parser.add_argument(
-        "--breaker",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "with 'serve-bench': consecutive span failures that trip "
-            "an execution tier's circuit breaker (default 3)"
-        ),
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help=(
-            "with 'serve-bench': append every warm query's span tree "
-            "to this JSONL file (read it with 'prime-ls trace-summary "
-            "FILE')"
-        ),
-    )
-    parser.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            "with 'serve-bench': serve the warm engine's Prometheus "
-            "page on http://127.0.0.1:PORT/metrics for the bench's "
-            "duration (0 = ephemeral port)"
+            "with 'serve': which requests to shed when a tenant's "
+            "budget overflows — reject (default), oldest, or "
+            "by-priority"
         ),
     )
     parser.add_argument(
@@ -608,8 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         default=False,
         help=(
-            "with 'serve-bench': arm the warm engine's approximate "
-            "tier — queries shed by admission, or stranded by open "
+            "with 'serve': arm the engine's approximate tier — "
+            "over-budget requests, or queries stranded by open "
             "exact-tier breakers (inject with "
             "--inject-fault exact-down), are answered from influence "
             "sketches with an advertised error bound"
@@ -648,52 +425,6 @@ def main(argv: list[str] | None = None) -> int:
             "in-flight requests before cancelling them (default 5)"
         ),
     )
-    parser.add_argument(
-        "--server",
-        action="store_true",
-        default=False,
-        help=(
-            "with 'serve-bench': benchmark through the HTTP front end "
-            "— start an in-process server and drive it with open-loop "
-            "Poisson arrivals (see --offered-qps/--duration/--tenants)"
-        ),
-    )
-    parser.add_argument(
-        "--server-url",
-        default=None,
-        metavar="URL",
-        help=(
-            "with 'serve-bench --server': drive an already-running "
-            "front end at http://host:port instead of starting one"
-        ),
-    )
-    parser.add_argument(
-        "--offered-qps",
-        type=float,
-        default=None,
-        metavar="QPS",
-        help=(
-            "with 'serve-bench --server': per-victim-tenant offered "
-            "rate; the 'bulk' tenant offers 4x this (default 10)"
-        ),
-    )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="with 'serve-bench --server': load duration (default 3)",
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "with 'serve-bench --server': tenant count — one 'bulk' "
-            "overloader plus N-1 victims (default 2)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     provided = set()
@@ -701,28 +432,16 @@ def main(argv: list[str] | None = None) -> int:
         provided.add("--svg")
     if args.csv is not None:
         provided.add("--csv")
-    if args.queries is not None:
-        provided.add("--queries")
     if args.workers is not None:
         provided.add("--workers")
-    if args.deadline is not None:
-        provided.add("--deadline")
     if args.inject_fault is not None:
         provided.add("--inject-fault")
     if args.pool:
         provided.add("--pool")
-    if args.batch:
-        provided.add("--batch")
     if args.max_inflight is not None:
         provided.add("--max-inflight")
     if args.shed_policy is not None:
         provided.add("--shed-policy")
-    if args.breaker is not None:
-        provided.add("--breaker")
-    if args.trace is not None:
-        provided.add("--trace")
-    if args.metrics_port is not None:
-        provided.add("--metrics-port")
     if args.approx:
         provided.add("--approx")
     if args.port is not None:
@@ -733,16 +452,6 @@ def main(argv: list[str] | None = None) -> int:
         provided.add("--max-queue-depth")
     if args.drain_seconds is not None:
         provided.add("--drain-seconds")
-    if args.server:
-        provided.add("--server")
-    if args.server_url is not None:
-        provided.add("--server-url")
-    if args.offered_qps is not None:
-        provided.add("--offered-qps")
-    if args.duration is not None:
-        provided.add("--duration")
-    if args.tenants is not None:
-        provided.add("--tenants")
     is_experiment = args.experiment in registry
     code = _check_flags(args.experiment, provided, is_experiment)
     if code:
@@ -776,36 +485,6 @@ def main(argv: list[str] | None = None) -> int:
             shed_policy=args.shed_policy,
             drain_seconds=args.drain_seconds,
             inject_faults=args.inject_fault,
-        )
-    if args.experiment == "serve-bench" and (args.server or args.server_url):
-        return _cmd_serve_bench_server(
-            offered_qps=(
-                args.offered_qps if args.offered_qps is not None else 10.0
-            ),
-            duration=args.duration if args.duration is not None else 3.0,
-            tenants=args.tenants if args.tenants is not None else 2,
-            workers=args.workers if args.workers is not None else 0,
-            pool=args.pool,
-            approx=args.approx,
-            max_inflight=args.max_inflight,
-            shed_policy=args.shed_policy,
-            server_url=args.server_url,
-        )
-    if args.experiment == "serve-bench":
-        return _cmd_serve_bench(
-            queries=args.queries if args.queries is not None else 12,
-            workers=args.workers if args.workers is not None else 0,
-            out_csv=args.csv,
-            deadline=args.deadline,
-            inject_faults=args.inject_fault,
-            pool=args.pool,
-            batch=args.batch,
-            max_inflight=args.max_inflight,
-            shed_policy=args.shed_policy,
-            breaker=args.breaker,
-            trace=args.trace,
-            metrics_port=args.metrics_port,
-            approx=args.approx,
         )
     if args.experiment == "report":
         from repro.experiments.report import generate_report

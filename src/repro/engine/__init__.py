@@ -22,15 +22,10 @@
   ``approx`` sketch-serving floor on ``approx=True`` engines),
 * :mod:`repro.engine.cache` — bounded-memory LRU caches and the
   engine-level :class:`~repro.engine.cache.CacheBudget`,
-* :mod:`repro.engine.bench` — the warm-vs-cold serving benchmark
-  behind ``prime-ls serve-bench`` (``--pool``/``--batch`` modes, plus
-  the admission/breaker overload knobs),
 * :mod:`repro.engine.server` — the multi-tenant asyncio HTTP front
   end (``/v1/query``, ``/v1/batch``, ``/v1/subscribe``, ``/v1/ingest``,
   ``/healthz``, ``/metrics``) with per-tenant admission, deadline
   propagation, and graceful drain,
-* :mod:`repro.engine.loadgen` — the open-loop Poisson load generator
-  measuring p50/p99 and per-tenant shed rate against offered qps,
 * :mod:`repro.engine.subscriptions` — standing PRIME-LS queries over a
   live fleet: position updates stream in, each subscription's result
   set is maintained incrementally through a safe-region index (cost ∝
@@ -46,7 +41,6 @@ from repro.engine.admission import (
     TenantAdmission,
     TenantBudget,
 )
-from repro.engine.bench import ServeBenchResult, run_serve_bench
 from repro.engine.breaker import (
     EXACT_TIERS,
     TIERS,
@@ -68,16 +62,6 @@ from repro.engine.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    MetricsServer,
-)
-from repro.engine.loadgen import (
-    LoadReport,
-    TenantLoad,
-    TenantStats,
-    build_serving_engine,
-    run_load,
-    run_load_sync,
-    run_server_bench,
 )
 from repro.engine.pool import (
     SEGMENT_PREFIX,
@@ -121,8 +105,6 @@ __all__ = [
     "WorkerPool",
     "pool_segments",
     "SEGMENT_PREFIX",
-    "ServeBenchResult",
-    "run_serve_bench",
     "fork_available",
     "FaultSpec",
     "FaultInjector",
@@ -142,13 +124,6 @@ __all__ = [
     "BackgroundServer",
     "ApiError",
     "run_server",
-    "TenantLoad",
-    "TenantStats",
-    "LoadReport",
-    "run_load",
-    "run_load_sync",
-    "run_server_bench",
-    "build_serving_engine",
     "BreakerConfig",
     "CircuitBreaker",
     "DegradationLadder",

@@ -21,7 +21,7 @@ round overflows:
 
 :class:`AdmissionController` is thread-safe (a lock guards the
 in-flight count) and accumulates a :class:`ShedReport` the chaos
-harness and ``serve-bench`` assert on.  The ``overload`` fault kind
+drills assert on.  The ``overload`` fault kind
 (:mod:`repro.engine.faults`) injects phantom in-flight load so all of
 this can be driven deterministically in tests and CI drills.
 

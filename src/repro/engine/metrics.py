@@ -16,10 +16,11 @@ This module is a small, dependency-free metrics core:
   `text exposition format
   <https://prometheus.io/docs/instrumenting/exposition_formats/>`_
   (``# HELP``/``# TYPE`` comments, escaped label values, ``+Inf``
-  bucket last),
-* :class:`MetricsServer` — a stdlib ``http.server`` endpoint serving
-  ``GET /metrics`` from a daemon thread (``serve-bench
-  --metrics-port``), so scraping needs no third-party dependency.
+  bucket last).
+
+The HTTP front end (:mod:`repro.engine.server`) serves the registry's
+page at ``GET /metrics``; an embedder without the front end reads it
+from :meth:`~repro.engine.session.QueryEngine.metrics_text`.
 
 Metric names and the full catalog (name, type, labels, source counter)
 are documented in ``docs/observability.md``; the registry enforces the
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Sequence
 
 #: Prometheus metric-name and label-name grammars
@@ -351,125 +351,3 @@ class MetricsRegistry:
             lines.extend(metric.header())
             lines.extend(samples)
         return "\n".join(lines) + "\n" if lines else "\n"
-
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """``GET /metrics`` (and ``/``) from the owning server's registry."""
-
-    server_version = "prime-ls-metrics/1.0"
-
-    def do_GET(self):  # noqa: N802 - http.server API
-        if self.path.split("?", 1)[0] not in ("/metrics", "/"):
-            self.send_error(404, "only /metrics is served here")
-            return
-        body = self.server.registry.render().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format, *args):  # noqa: A002 - http.server API
-        pass  # a scrape every few seconds must not spam stderr
-
-
-class _RegistryHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    #: lets a restarted bench rebind the port immediately
-    allow_reuse_address = True
-
-
-class MetricsServer:
-    """A stdlib HTTP endpoint exposing one registry at ``/metrics``.
-
-    ``port=0`` binds an ephemeral port (tests); :attr:`port` reports
-    the bound one either way.  The server thread is a daemon, so a
-    crashed bench never hangs on it; call :meth:`close` for an orderly
-    shutdown.  Usable as a context manager.
-
-    ``start=False`` defers the bind to an explicit :meth:`start` call,
-    so a caller can hold the object before committing a port.
-    :meth:`close` is idempotent and safe at every lifecycle point:
-    before :meth:`start`, after a *failed* bind (the OSError
-    propagates, the instance stays closed), and on a second close —
-    none of them raise, so ``finally: server.close()`` teardown paths
-    never mask the original error.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        port: int = 0,
-        host: str = "127.0.0.1",
-        start: bool = True,
-    ):
-        if not 0 <= int(port) <= 65535:
-            raise ValueError(f"port must be in [0, 65535], got {port}")
-        self.registry = registry
-        self._host = host
-        self._requested_port = int(port)
-        self._server: _RegistryHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-        if start:
-            self.start()
-
-    def start(self) -> "MetricsServer":
-        """Bind the port and start serving (no-op when already serving).
-
-        A failed bind (port in use, bad host) raises ``OSError`` and
-        leaves the instance closed — :meth:`close` afterwards is a
-        safe no-op.
-        """
-        if self._server is not None:
-            return self
-        server = _RegistryHTTPServer(
-            (self._host, self._requested_port), _MetricsHandler
-        )
-        server.registry = self.registry
-        self._server = server
-        self._thread = threading.Thread(
-            target=server.serve_forever,
-            name="prime-ls-metrics",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    @property
-    def started(self) -> bool:
-        """Whether the endpoint is currently bound and serving."""
-        return self._server is not None
-
-    @property
-    def port(self) -> int:
-        """The bound port while serving, else the requested one."""
-        if self._server is None:
-            return self._requested_port
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host = self._server.server_address[0] if self._server else self._host
-        return f"http://{host}:{self.port}/metrics"
-
-    def close(self) -> None:
-        """Stop serving, release the port, join the server thread.
-
-        Idempotent, and safe before :meth:`start` or after a failed
-        bind — closing a never-started (or already-closed) endpoint is
-        a no-op, never an exception.
-        """
-        server, self._server = self._server, None
-        thread, self._thread = self._thread, None
-        if server is not None:
-            server.shutdown()
-            server.server_close()
-        if thread is not None:
-            thread.join(timeout=2.0)
-
-    def __enter__(self) -> "MetricsServer":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False

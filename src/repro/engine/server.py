@@ -32,9 +32,8 @@ Endpoints
   state; 200 while ready (degraded included — a degraded ladder still
   answers), 503 while draining or closed,
 * ``GET /metrics`` — the engine's Prometheus page (including the
-  ``pinls_http_*`` series this module registers), rendered by the same
-  :class:`~repro.engine.metrics.MetricsRegistry` a side-car
-  :class:`~repro.engine.metrics.MetricsServer` would serve.
+  ``pinls_http_*`` series this module registers), rendered by the
+  engine's :class:`~repro.engine.metrics.MetricsRegistry`.
 
 One request path
 ----------------
@@ -80,8 +79,8 @@ Robustness contract
 
 One request per connection (the server answers ``Connection: close``);
 at benchmark rates connection setup is noise and the lifecycle stays
-trivially correct under chaos drills.  The open-loop Poisson load
-generator in :mod:`repro.engine.loadgen` is the measurement harness:
+trivially correct under chaos drills.  The repository benchmark's
+open-loop client (``bench/httpload.py``) is the measurement harness:
 closed-loop clients hide queueing collapse, offered-rate clients do
 not.
 """
@@ -98,6 +97,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.admission import QueryShed, TenantAdmission
 from repro.engine.faults import DeadlineExceeded
+from repro.engine.metrics import CONTENT_TYPE
 from repro.engine.session import QueryEngine, QueryRequest
 from repro.engine.subscriptions import SubscriptionEngine
 from repro.model.candidate import Candidate
@@ -624,7 +624,7 @@ class HTTPFrontEnd:
         """Serialise and send one JSON (or text) response."""
         if isinstance(payload, str):
             body = payload.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
+            content_type = CONTENT_TYPE
         else:
             body = (json.dumps(payload) + "\n").encode("utf-8")
             content_type = "application/json"

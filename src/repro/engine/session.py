@@ -725,9 +725,9 @@ class QueryEngine:
     def metrics_text(self) -> str:
         """The engine's metrics in Prometheus text exposition format.
 
-        The same page a :class:`~repro.engine.metrics.MetricsServer`
-        bound to :attr:`metrics` serves at ``/metrics``
-        (``serve-bench --metrics-port``).
+        The same page the HTTP front end serves at ``GET /metrics``
+        (:mod:`repro.engine.server`); embedders without the front end
+        read it here.
         """
         return self.metrics.render()
 

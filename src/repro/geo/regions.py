@@ -85,12 +85,16 @@ class InfluenceArcsRegion:
     def boundary(self, samples_per_arc: int = 64) -> np.ndarray:
         """Sampled boundary polyline (the four arcs), shape ``(k, 2)``.
 
-        Returns an empty array when the region is empty.  Points are in
+        Returns an empty array when the region is empty, and the MBR's
+        single point when the radius is 0 (a point MBR: the region is
+        that point, as at radius == half-diagonal).  Points are in
         counter-clockwise order starting in quadrant I.
         """
         if self.is_empty():
             return np.empty((0, 2), dtype=float)
         cx, cy = self.mbr.center.as_tuple()
+        if self.radius == 0:
+            return np.array([[cx, cy]])
         a = self.mbr.width / 2
         b = self.mbr.height / 2
         # In MBR-centred coordinates the boundary is the level set

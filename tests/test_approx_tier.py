@@ -170,6 +170,7 @@ def test_exact_down_routes_to_approx_floor(fleet, candidates):
         fleet,
         approx=True,
         approx_k=64,
+        max_inflight=1,
         fault_injector=FaultInjector([FaultSpec.parse("exact-down::0")]),
     )
     try:
@@ -182,6 +183,13 @@ def test_exact_down_routes_to_approx_floor(fleet, candidates):
         assert health["tier"] == "approx"
         assert health["status"] == "degraded"
         assert engine.stats.breaker_trips == len(EXACT_TIERS)
+        # the breakers stay open: later queries land on the floor too,
+        # and none is shed by the 1-slot budget
+        for tau in (0.5, 0.7, 0.8):
+            engine.query(candidates, pf=pf, tau=tau, algorithm="PIN-VO")
+        assert engine.stats.queries_shed == 0
+        assert engine.stats.approx_queries == 4
+        assert engine.health()["tier"] == "approx"
     finally:
         engine.close()
 

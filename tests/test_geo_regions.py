@@ -79,6 +79,12 @@ class TestInfluenceArcsRegion:
     def test_boundary_empty_region(self):
         assert InfluenceArcsRegion(MBR(0, 0, 6, 8), 1.0).boundary().size == 0
 
+    def test_boundary_of_point_at_radius_zero(self):
+        # a point MBR at radius 0 is not empty: the region is the point
+        region = InfluenceArcsRegion(MBR(2, 3, 2, 3), 0.0)
+        assert not region.is_empty()
+        np.testing.assert_array_equal(region.boundary(), [[2.0, 3.0]])
+
     @settings(max_examples=40)
     @given(
         st.floats(0.1, 10), st.floats(0.1, 10), st.floats(0.05, 20),

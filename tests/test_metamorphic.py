@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.naive import NaiveAlgorithm
 from repro.core.pinocchio import Pinocchio
 from repro.core.pinocchio_vo import PinocchioVO
 from repro.model import Candidate, MovingObject

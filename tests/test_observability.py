@@ -10,8 +10,8 @@ The contract under test is ``docs/observability.md``:
   appear under the parent's dispatch span, with one tree shape per
   tier whichever query method served the request,
 * ``QueryEngine.metrics_text()`` renders valid Prometheus text
-  exposition, and :class:`~repro.engine.MetricsServer` serves the same
-  page over HTTP,
+  exposition, and the HTTP front end serves the same page at
+  ``GET /metrics``,
 * tracing disabled hands out the no-op span singleton (no per-query
   allocation), and tracing *enabled* never changes a query's answer —
   spans observe, they do not steer.
@@ -37,7 +37,6 @@ from repro.engine import (
     FaultInjector,
     FaultSpec,
     MetricsRegistry,
-    MetricsServer,
     QueryRequest,
     SupervisorPolicy,
     TraceReadError,
@@ -48,6 +47,7 @@ from repro.engine import (
     worker_spans,
 )
 from repro.engine.pool import fork_available
+from repro.engine.server import BackgroundServer
 from repro.engine.trace import record_span
 from repro.prob import PowerLawPF
 
@@ -454,68 +454,25 @@ class TestEngineMetrics:
 
     def test_endpoint_serves_the_registry(self, world, candidates):
         engine = QueryEngine(world)
-        try:
-            engine.query(candidates, tau=0.6, algorithm="NA")
-            with MetricsServer(engine.metrics, port=0) as server:
-                assert 0 < server.port <= 65535
-                with urllib.request.urlopen(server.url, timeout=5) as resp:
-                    assert resp.status == 200
-                    assert resp.headers["Content-Type"].startswith(
-                        "text/plain; version=0.0.4"
-                    )
-                    body = resp.read().decode("utf-8")
-                with pytest.raises(urllib.error.HTTPError):
-                    urllib.request.urlopen(
-                        server.url.replace("/metrics", "/nope"), timeout=5
-                    )
-        finally:
-            engine.close()
+        engine.query(candidates, tau=0.6, algorithm="NA")
+        # leaving the block drains the front end, which closes the engine
+        with BackgroundServer(engine) as server:
+            assert 0 < server.port <= 65535
+            url = f"{server.url}/metrics"
+            with urllib.request.urlopen(url, timeout=5) as resp:
+                assert resp.status == 200
+                assert resp.headers["Content-Type"].startswith(
+                    "text/plain; version=0.0.4"
+                )
+                body = resp.read().decode("utf-8")
+            with pytest.raises(urllib.error.HTTPError):
+                urllib.request.urlopen(f"{server.url}/nope", timeout=5)
+        assert engine.closed
         assert_valid_exposition(body)
-        assert body == engine.metrics_text() or "pinls_" in body
-
-    def test_bad_port_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsServer(MetricsRegistry(), port=70000)
-
-
-class TestMetricsServerLifecycle:
-    def test_close_is_idempotent(self):
-        server = MetricsServer(MetricsRegistry(), port=0)
-        assert server.started
-        server.close()
-        assert not server.started
-        server.close()  # double close must not raise
-
-    def test_close_without_start_is_safe(self):
-        server = MetricsServer(MetricsRegistry(), port=0, start=False)
-        assert not server.started
-        server.close()  # never bound: still safe
-
-    def test_failed_bind_leaves_instance_closeable(self):
-        holder = MetricsServer(MetricsRegistry(), port=0)
-        try:
-            clash = MetricsServer(
-                MetricsRegistry(), port=holder.port, start=False
-            )
-            with pytest.raises(OSError):
-                clash.start()
-            assert not clash.started
-            clash.close()  # close after a failed bind must not raise
-        finally:
-            holder.close()
-
-    def test_start_is_idempotent_and_restartable(self):
-        server = MetricsServer(MetricsRegistry(), port=0, start=False)
-        assert server.port == 0  # requested port until bound
-        server.start()
-        bound = server.port
-        assert bound > 0
-        assert server.start() is server  # no-op while serving
-        assert server.port == bound
-        server.close()
-        server.start()  # a fresh ephemeral bind after close
-        assert server.started
-        server.close()
+        assert (
+            'pinls_queries_total{algorithm="NA",tier="serial",'
+            'status="ok"} 1' in body
+        )
 
 
 # ---------------------------------------------------------------------
@@ -605,24 +562,6 @@ class TestTraceSummaryCLI:
     def test_path_rejected_on_other_commands(self, capsys):
         assert main(["table2", "foo.jsonl"]) == 2
         assert "unexpected argument" in capsys.readouterr().err
-
-    def test_trace_flag_rejected_outside_serve_bench(self, capsys):
-        assert main(["demo", "--trace", "x.jsonl"]) == 2
-        assert "--trace" in capsys.readouterr().err
-
-    def test_metrics_port_flag_rejected_outside_serve_bench(self, capsys):
-        assert main(["demo", "--metrics-port", "0"]) == 2
-        assert "--metrics-port" in capsys.readouterr().err
-
-    def test_serve_bench_rejects_bad_metrics_port(self, capsys):
-        assert main(["serve-bench", "--metrics-port", "99999"]) == 2
-        assert "--metrics-port" in capsys.readouterr().err
-
-    def test_serve_bench_rejects_unwritable_trace(self, capsys):
-        assert main(
-            ["serve-bench", "--trace", "/proc/nope/t.jsonl"]
-        ) == 2
-        assert "--trace" in capsys.readouterr().err
 
     def test_summarises_a_real_trace_file(self, capsys, world, candidates,
                                           tmp_path):

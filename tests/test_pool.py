@@ -10,7 +10,10 @@ semantics:
   ``query`` calls sequentially (property-tested over random worlds),
 * a worker killed mid-batch — or dead idle between queries — is
   respawned (visible as ``EngineStats.pool_respawns``) and the query
-  still completes with bit-identical answers, never a traceback,
+  still completes with bit-identical answers, never a traceback; a
+  crash on every worker trips the breaker and degrades to serial, and
+  under a batch larger than the admission budget the overflow is shed
+  as typed outcomes while the admitted answers stay exact,
 * shared-memory segments never leak: ``close()`` unlinks every
   ``/dev/shm`` entry the pool created, and an engine abandoned without
   ``close()`` is cleaned up at interpreter exit,
@@ -30,7 +33,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import QueryEngine, select_location
-from repro.engine import FaultInjector, FaultSpec, QueryRequest, pool_segments
+from repro.engine import (
+    BreakerConfig,
+    FaultInjector,
+    FaultSpec,
+    QueryRequest,
+    QueryShed,
+    pool_segments,
+)
 from repro.engine.pool import fork_available
 from repro.prob import PowerLawPF
 
@@ -192,15 +202,57 @@ class TestSupervision:
         assert_same_result(got, want, counters=True)
         assert_no_orphans()
 
-    def test_crash_single_query_respawns(self, world, candidates, pf):
-        faults = [FaultSpec(kind="crash", worker=0, times=1)]
+    @pytest.mark.parametrize(
+        "worker", [0, None], ids=["worker-0", "every-worker"]
+    )
+    def test_crash_single_query_respawns(self, world, candidates, pf, worker):
+        # worker=None crashes every worker on its first span: the
+        # breaker trips mid-round and the rest of the round degrades
+        # to the parent, so the engine ends on the serial tier.
+        faults = [FaultSpec(kind="crash", worker=worker, times=1)]
         with pooled_engine(world, faults=faults) as engine:
             got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
             assert engine.stats.pool_respawns >= 1
+            if worker is None:
+                assert engine.stats.breaker_trips == 1
+                assert engine.stats.degraded >= 1
+                assert engine.health()["tier"] == "serial"
         want = select_location(
             world, candidates, pf=pf, tau=0.7, algorithm="PIN"
         )
         assert_same_result(got, want, counters=True)
+        assert pool_segments() == []
+        assert_no_orphans()
+
+    def test_crash_under_batch_overload_sheds_and_degrades(self, world, pf):
+        # Eight distinct queries in one round against 2 in-flight slots
+        # and a 2-deep queue: the last four are shed as typed outcomes.
+        # Every worker crashes on its first span, and a 2-failure
+        # breaker sends the round to the parent and the engine to
+        # serial; the four served answers stay exact.
+        rng = np.random.default_rng(11)
+        cand_sets = [make_candidates(rng, 12) for _ in range(8)]
+        with pooled_engine(
+            world,
+            faults=[FaultSpec(kind="crash")],
+            workers=2,
+            max_inflight=2,
+            breaker=BreakerConfig(failure_threshold=2),
+        ) as engine:
+            out = engine.query_batch(
+                [QueryRequest(c, pf, 0.7, "PIN-VO") for c in cand_sets]
+            )
+            assert engine.stats.queries_shed == 4
+            assert engine.stats.breaker_trips == 1
+            assert engine.health()["tier"] == "serial"
+        shed = [isinstance(r, QueryShed) for r in out]
+        assert shed == [False] * 4 + [True] * 4
+        for got, cands in zip(out[:4], cand_sets):
+            want = select_location(
+                world, cands, pf=pf, tau=0.7, algorithm="PIN-VO"
+            )
+            assert_same_result(got, want, counters=True)
+        assert pool_segments() == []
         assert_no_orphans()
 
 

@@ -4,8 +4,6 @@ import importlib
 import inspect
 import pkgutil
 
-import pytest
-
 import repro
 
 

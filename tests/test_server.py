@@ -1,4 +1,4 @@
-"""The HTTP front end: routing, admission, deadlines, drain, loadgen."""
+"""The HTTP front end: routing, admission, deadlines, drain, chaos."""
 
 from __future__ import annotations
 
@@ -12,22 +12,24 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import select_location
+from repro.datasets import gowalla_like
 from repro.engine import (
     QueryEngine,
     TenantAdmission,
     TenantBudget,
-    TenantLoad,
-    run_load_sync,
 )
-from repro.engine.loadgen import _percentile
+from repro.engine.metrics import CONTENT_TYPE
+from repro.engine.pool import SEGMENT_PREFIX
 from repro.engine.server import BackgroundServer
 
 from .helpers import make_candidates, make_objects
+from .test_observability import assert_valid_exposition
 
 
 @pytest.fixture(scope="module")
@@ -151,8 +153,16 @@ class TestQueryRoundtrip:
             server.port, "POST", "/v1/query",
             {"candidates": _coords(candidates), "tenant": "metered"},
         )
-        status, text = _request(server.port, "GET", "/metrics")
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.request("GET", "/metrics")
+            resp = conn.getresponse()
+            status, text = resp.status, resp.read().decode("utf-8")
+        finally:
+            conn.close()
         assert status == 200
+        assert resp.headers["Content-Type"] == CONTENT_TYPE
+        assert_valid_exposition(text)
         assert "# TYPE pinls_http_requests_total counter" in text
         assert 'tenant="metered"' in text
         assert "pinls_http_request_seconds_bucket" in text
@@ -563,92 +573,149 @@ class TestDrain:
 # ---------------------------------------------------------------------------
 # The blocking entry point (subprocess, SIGTERM)
 # ---------------------------------------------------------------------------
+#: ``prime-ls serve`` arguments per drill.  ``crash-burst`` is the chaos
+#: drill: a pooled engine whose every worker crashes on its first span,
+#: behind a 1-slot budget per tenant.
+SERVE_DRILLS = {
+    "one-request": ["--max-inflight", "2"],
+    "crash-burst": [
+        "--workers", "2", "--pool", "--max-inflight", "1",
+        "--inject-fault", "crash", "--drain-seconds", "5",
+    ],
+}
+#: closed-loop client threads per tenant in the ``crash-burst`` drill
+BURST_THREADS = {"bulk": 4, "victim": 1}
+#: seconds of load before SIGTERM
+BURST_SECONDS = 2.0
+
+
+def _burst_until_sigterm(proc, port):
+    """Load the server from :data:`BURST_THREADS`, SIGTERM it mid-burst.
+
+    Each thread repeats one ``/v1/query`` until its connection fails,
+    which happens once the draining server stops accepting.  Returns
+    the statuses per tenant, the transport errors seen before SIGTERM,
+    and the ``/metrics`` page scraped just before it.  The candidates
+    come from the world ``prime-ls serve`` builds, so every query lands
+    inside its fleet.
+    """
+    world = gowalla_like(scale=0.05, seed=7)
+    candidates, _ = world.dataset.sample_candidates(
+        24, np.random.default_rng(7)
+    )
+    terminated = threading.Event()
+    statuses = {tenant: [] for tenant in BURST_THREADS}
+    errors = []
+
+    def loop(tenant):
+        body = {"candidates": _coords(candidates), "tenant": tenant}
+        while True:
+            try:
+                status, _ = _request(
+                    port, "POST", "/v1/query", body, timeout=10.0
+                )
+            except (OSError, http.client.HTTPException) as exc:
+                if not terminated.is_set():
+                    errors.append(exc)
+                return
+            statuses[tenant].append(status)
+
+    threads = [
+        threading.Thread(target=loop, args=(tenant,), daemon=True)
+        for tenant, n in BURST_THREADS.items()
+        for _ in range(n)
+    ]
+    for thread in threads:
+        thread.start()
+    time.sleep(BURST_SECONDS)
+    _, page = _request(port, "GET", "/metrics")
+    terminated.set()
+    proc.send_signal(signal.SIGTERM)
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    return statuses, errors, page
+
+
+def _group_gone(pgid, timeout=5.0) -> bool:
+    """Whether every process in group ``pgid`` is gone within ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
 class TestRunServerProcess:
-    def test_sigterm_drains_and_exits_zero(self, tmp_path):
+    @pytest.mark.parametrize("drill", list(SERVE_DRILLS))
+    def test_sigterm_drains_and_exits_zero(self, tmp_path, drill):
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "serve",
-                "--port", "0", "--max-inflight", "2",
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                *SERVE_DRILLS[drill],
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
             cwd=str(tmp_path),
+            # its own process group, so forked pool workers can be
+            # found (and killed) through the server's pid
+            start_new_session=True,
         )
         try:
             line = proc.stdout.readline()
             m = re.search(r"serving on http://127\.0\.0\.1:(\d+)", line)
             assert m, f"no serving line in {line!r}"
             port = int(m.group(1))
-            status, out = _request(
-                port, "POST", "/v1/query",
-                {"candidates": [[1.0, 1.0], [5.0, 5.0]], "tenant": "t0"},
-            )
-            assert status == 200
-            proc.send_signal(signal.SIGTERM)
+            if drill == "one-request":
+                status, _ = _request(
+                    port, "POST", "/v1/query",
+                    {"candidates": [[1.0, 1.0], [5.0, 5.0]], "tenant": "t0"},
+                )
+                statuses, errors, page = {"t0": [status]}, [], ""
+                proc.send_signal(signal.SIGTERM)
+            else:
+                statuses, errors, page = _burst_until_sigterm(proc, port)
             output, _ = proc.communicate(timeout=60)
+            group_gone = _group_gone(proc.pid)
         finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
             if proc.poll() is None:
-                proc.kill()
                 proc.communicate()
         assert proc.returncode == 0, output
-        assert "tenant t0: offered=1 admitted=1 shed=0" in output
-        assert "drain: complete" in output
-
-
-# ---------------------------------------------------------------------------
-# Load generator
-# ---------------------------------------------------------------------------
-class TestLoadgen:
-    def test_percentile_interpolates(self):
-        assert _percentile([], 0.99) == 0.0
-        assert _percentile([5.0], 0.5) == 5.0
-        assert _percentile([1.0, 2.0, 3.0, 4.0], 0.5) == pytest.approx(2.5)
-        assert _percentile([1.0, 2.0, 3.0, 4.0], 1.0) == 4.0
-
-    def test_tenant_load_validates(self):
-        with pytest.raises(ValueError):
-            TenantLoad("t", 0.0)
-
-    def test_open_loop_run_reports_per_tenant(self, world, candidates):
-        engine = QueryEngine(world)
-        with BackgroundServer(engine) as server:
-            report = run_load_sync(
-                [
-                    TenantLoad(
-                        "a", 30.0, {"candidates": _coords(candidates)}
-                    ),
-                    TenantLoad(
-                        "b", 10.0, {"candidates": _coords(candidates)}
-                    ),
-                ],
-                host="127.0.0.1",
-                port=server.port,
-                duration=0.5,
-                seed=3,
+        assert group_gone, "orphaned processes in the server's group"
+        assert not list(Path("/dev/shm").glob(
+            f"{SEGMENT_PREFIX}{proc.pid}_*"
+        )), "the server left shared-memory segments"
+        assert re.search(r"drain: complete after \d+ request", output)
+        assert errors == []
+        if drill == "one-request":
+            assert statuses == {"t0": [200]}
+            assert "tenant t0: offered=1 admitted=1 shed=0" in output
+            return
+        # the injected crashes fired, and the pool replaced the workers
+        respawns = re.search(r"^pinls_pool_respawns_total (\S+)$", page, re.M)
+        assert respawns and float(respawns.group(1)) > 0, page
+        seen = {status for got in statuses.values() for status in got}
+        assert seen <= {200, 429, 503}, seen
+        assert 429 not in statuses["victim"]
+        shed = {
+            tenant: int(n) for tenant, n in re.findall(
+                r"tenant (\w+): offered=\d+ admitted=\d+ shed=(\d+)",
+                output,
             )
-        assert set(report.tenants) == {"a", "b"}
-        a = report.tenants["a"]
-        assert a.sent > 0 and a.completed > 0
-        assert a.completed + a.shed + sum(a.errors.values()) == a.sent
-        assert a.percentile_ms(0.99) >= a.percentile_ms(0.5) > 0
-        d = report.to_dict()
-        assert d["total_sent"] == report.total_sent
-        lines = report.summary_lines()
-        assert any("loadgen tenant a:" in line for line in lines)
-
-    def test_duplicate_tenants_rejected(self):
-        with pytest.raises(ValueError):
-            run_load_sync(
-                [TenantLoad("a", 1.0), TenantLoad("a", 2.0)],
-                host="127.0.0.1",
-                port=9,
-                duration=0.1,
-            )
+        }
+        assert shed["victim"] == 0 and shed["bulk"] > 0, output
 
 
 # ---------------------------------------------------------------------------
@@ -671,17 +738,6 @@ class TestServeCLIFlags:
         assert main(["serve", "--shed-policy", "nope"]) == 2
         assert main(["serve", "--drain-seconds", "-1"]) == 2
         assert main(["serve", "--max-inflight", "0"]) == 2
-        capsys.readouterr()
-
-    def test_serve_bench_server_rejects_bad_values(self, capsys):
-        from repro.cli import main
-
-        assert main(["serve-bench", "--server", "--offered-qps", "0"]) == 2
-        assert main(["serve-bench", "--server", "--duration", "0"]) == 2
-        assert main(["serve-bench", "--server", "--tenants", "0"]) == 2
-        assert main(
-            ["serve-bench", "--server-url", "not-a-url"]
-        ) == 2
         capsys.readouterr()
 
 

@@ -2,13 +2,9 @@
 
 import json
 
-import numpy as np
-import pytest
-
 import repro.experiments as ex
 from repro.cli import main
 from repro.core.naive import NaiveAlgorithm
-from repro.prob import PowerLawPF
 
 from tests.helpers import make_candidates, make_objects
 

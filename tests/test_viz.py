@@ -2,10 +2,8 @@
 
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
-from repro.prob import PowerLawPF
 from repro.viz import SVGCanvas, render_scene
 from repro.viz.scene import save_scene
 
@@ -104,3 +102,15 @@ class TestRenderScene:
         candidates = make_candidates(rng, 2, extent=5.0)
         svg = render_scene(objects, candidates, pf, 0.9)
         parse(svg)
+
+    def test_scene_with_zero_radius_object(self, rng):
+        # PF^-1(0.5) = 0 under this PF: a 1-position object's radius is
+        # exactly 0, and its influence-arcs region is the point itself.
+        from repro.prob import LinearPF
+
+        pf = LinearPF(rho=0.5, scale=10.0)
+        objects = make_objects(rng, 2, extent=5.0, n_range=(1, 1))
+        candidates = make_candidates(rng, 2, extent=5.0)
+        svg = render_scene(objects, candidates, pf, 0.5)
+        polygons = parse(svg).findall(f".//{SVG_NS}polygon")
+        assert len(polygons) == 2 * len(objects)  # IA point + NIB each
