@@ -186,59 +186,6 @@ def _validate_vector(
     return s <= log_threshold
 
 
-def batch_validate_objects(
-    pf: ProbabilityFunction,
-    positions_list: list[np.ndarray],
-    cx: float,
-    cy: float,
-    log_threshold: float,
-    counters: Instrumentation | None = None,
-    head: int = 16,
-) -> np.ndarray:
-    """Strategy-2 validation of many objects against one candidate.
-
-    Vectorised two-phase evaluation: first the leading ``head``
-    positions of every object in one concatenated kernel — objects
-    whose partial non-influence probability already satisfies Lemma 4
-    are decided; only the undecided objects' remaining positions are
-    evaluated in a second kernel.  Exact, and the position counters
-    reflect the early-stopping savings.
-
-    Returns a boolean array aligned with ``positions_list``.
-    """
-    k = len(positions_list)
-    lengths = np.array([p.shape[0] for p in positions_list])
-    if counters is not None:
-        counters.pairs_validated += k
-        counters.positions_total += int(lengths.sum())
-
-    heads = [p[:head] for p in positions_list]
-    head_lengths = np.minimum(lengths, head)
-    head_xy = np.concatenate(heads, axis=0)
-    offsets = np.concatenate([[0], np.cumsum(head_lengths)[:-1]])
-    d = distances(head_xy[:, 0], head_xy[:, 1], cx, cy)
-    s_head = np.add.reduceat(log1m_safe(pf(d)), offsets)
-    if counters is not None:
-        counters.positions_evaluated += int(head_lengths.sum())
-
-    influenced = s_head <= log_threshold
-    undecided = ~influenced & (lengths > head)
-    if counters is not None:
-        counters.early_stops += int(np.count_nonzero(influenced & (lengths > head)))
-    if np.any(undecided):
-        idx = np.nonzero(undecided)[0]
-        tails = [positions_list[i][head:] for i in idx]
-        tail_lengths = lengths[idx] - head
-        tail_xy = np.concatenate(tails, axis=0)
-        tail_offsets = np.concatenate([[0], np.cumsum(tail_lengths)[:-1]])
-        d = distances(tail_xy[:, 0], tail_xy[:, 1], cx, cy)
-        s_tail = np.add.reduceat(log1m_safe(pf(d)), tail_offsets)
-        if counters is not None:
-            counters.positions_evaluated += int(tail_lengths.sum())
-        influenced[idx] = (s_head[idx] + s_tail) <= log_threshold
-    return influenced
-
-
 def span_index(
     starts: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +213,14 @@ def batch_validate_spans(
     counters: Instrumentation | None = None,
     head: int = 16,
 ) -> np.ndarray:
-    """Columnar :func:`batch_validate_objects` over an x/y position block.
+    """Strategy-2 validation of many objects against one candidate.
+
+    Vectorised two-phase evaluation over an x/y position block: first
+    the leading ``head`` positions of every selected object in one
+    kernel — objects whose partial non-influence probability already
+    satisfies Lemma 4 are decided; only the undecided objects'
+    remaining positions are evaluated in a second kernel.  Exact, and
+    the position counters reflect the early-stopping savings.
 
     ``xy``/``offsets`` are a table's columnar export: ``xy`` is the
     ``(2, Σn)`` block whose rows are the x and y columns, and object
@@ -275,8 +229,10 @@ def batch_validate_spans(
     candidate.  Runs the same two-phase Strategy-2 evaluation without
     ever materialising per-object arrays or entry wrappers, so pool
     workers validate directly against the attached shared segment.
-    Bit-identical to the list-based kernel: the gathered position
-    order, the reduceat segmentation, and every counter match exactly.
+    Bit-identical to the list-based reference the tests keep
+    (``tests/helpers.py::batch_validate_objects``): the gathered
+    position order, the reduceat segmentation, and every counter
+    match exactly.
 
     Returns a boolean array aligned with ``idx``.
     """

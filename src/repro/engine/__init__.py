@@ -7,9 +7,11 @@
   (:meth:`QueryEngine.query_batch`),
 * :mod:`repro.engine.pool` — the persistent shared-memory worker pool
   (``pool=True``): long-lived workers attach the columnar fleet/table
-  exports once and serve candidate-span tasks from a dispatch queue,
-  bit-identical to serial execution, supervised (per-span retry with
-  bounded backoff, degrade-to-serial, hard deadline kills),
+  exports once and serve candidate-span tasks (or, in a round with
+  two or more cold PIN-VO queries, whole PIN-VO queries) from a
+  dispatch queue, bit-identical to serial execution, supervised
+  (per-span retry with bounded backoff, degrade-to-serial, hard
+  deadline kills),
 * :mod:`repro.engine.faults` — fault-injection hooks (worker crash,
   injected exception, artificial delay, plus the parent-side
   ``overload``/``memory-pressure`` kinds) and the supervisor policy

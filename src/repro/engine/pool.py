@@ -6,9 +6,14 @@ parent concatenates the per-span arrays and merges the work counters.
 Because every object-candidate pair is computed independently in the
 pooled phases (PIN/NA influence tables, PIN-VO's pruning phase), the
 merged output is bit-identical to serial execution.  PIN-VO's
-heap-driven validation phase is inherently sequential — Strategy 1
-compares candidates against a global bound — so it always runs in the
-parent, on the merged pruning output.
+heap-driven validation phase is sequential within a query — Strategy 1
+compares candidates against a global bound — but independent across
+queries.  So an admission round with two or more cold PIN-VO requests
+sends each of them to one worker whole (task kind ``"vo"``: the
+pruning phase, then the validation phase, on the serial code path),
+and the task ships its untouched pruning output back for the engine's
+pruning cache.  A lone cold request keeps the column split of its
+pruning phase and is validated in the parent on the merged output.
 
 Starting a worker per query would pay process startup and
 copy-on-write page faults on *every* dispatch.  This module amortises
@@ -32,7 +37,8 @@ Dispatch protocol (all messages are plain picklable tuples):
   attach-before-span.
 * ``("span", task_id, key, kind, algorithm, kwargs, pf, tau,
   cand_slice, query_id, attempt, injector)`` — run one candidate span
-  (``kind`` is ``"na"``/``"pin"``/``"vo_prune"``) and reply
+  (``kind`` is ``"na"``/``"pin"``/``"vo_prune"``), or one whole PIN-VO
+  query (``"vo"``, whose slice is every candidate), and reply
   ``("ok", task_id, payload, counters, span_record)`` or
   ``("error", task_id, msg)``; the trailing
   :class:`~repro.engine.trace.SpanRecord` is the worker-measured trace
@@ -78,7 +84,7 @@ import time
 import uuid
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as connection_wait
 from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
@@ -168,9 +174,11 @@ class Supervisor:
     def check_deadline(self) -> None:
         """Raise :class:`DeadlineExceeded` if the budget is spent.
 
-        Serial sections (PIN-VO validation, the degraded fallback, the
-        serial tier) call this at phase boundaries — cooperative
-        enforcement, versus the hard kill applied to workers.
+        Serial sections (the validation of a PIN-VO request whose
+        pruning ran as column spans or was cached, the degraded
+        fallback, the serial tier) call this at phase boundaries —
+        cooperative enforcement, versus the hard kill applied to
+        workers, which also stops a whole-query task mid-validation.
         """
         remaining = self.remaining()
         if remaining is not None and remaining <= 0:
@@ -252,7 +260,7 @@ class SpanTask:
 
     task_id: int
     segment_key: tuple        # which shared segment the worker reads
-    kind: str                 # "na" | "pin" | "vo_prune"
+    kind: str                 # "na" | "pin" | "vo_prune" | "vo" (whole)
     algorithm: str            # registry name to rebuild the solver from
     algorithm_kwargs: dict
     pf: Any
@@ -277,7 +285,14 @@ class SpanTask:
 
 
 def _execute_span(kind: str, solver, data, cand_slice, pf, tau):
-    """Run one span: ``kind`` picks the solver phase and its data.
+    """Run one task: ``kind`` picks the solver phases and their data.
+
+    A ``"vo"`` task is one whole PIN-VO query: the pruning phase, then
+    the validation phase with ``range(m)`` as the candidate sequence,
+    so its payload is ``(minInf, VS, pruning counts, best index, best
+    influence, influences)`` — the pruning output and counts as they
+    were before validation, for the parent's pruning cache — and its
+    record carries both phase times.
 
     Returns ``(payload, counters, span_record)`` — the record is the
     worker-measured trace child shipped back with the result so the
@@ -285,15 +300,33 @@ def _execute_span(kind: str, solver, data, cand_slice, pf, tau):
     """
     counters = Instrumentation()
     t_wall, t_perf = time.time(), time.perf_counter()
-    if kind == "vo_prune":
-        with counters.phase("pruning"):
-            payload = solver.pruning_phase(data, cand_slice, counters)
-    else:
+    attrs: dict = {}
+    if kind in ("na", "pin"):
         # "pin" reads the attached table, "na" the attached fleet
         payload = solver.compute_influence(
             data, cand_slice, pf, tau, counters
         )
-    record = record_span(f"span:{kind}", t_wall, t_perf, pid=os.getpid())
+    else:
+        with counters.phase("pruning"):
+            payload = solver.pruning_phase(data, cand_slice, counters)
+    if kind == "vo":
+        min_inf, vs_indexes = payload
+        # validation mutates minInf and the counters: copy both first
+        pruned = (min_inf.copy(), vs_indexes, replace(counters))
+        result = solver.validation_phase(
+            data, range(len(min_inf)), cand_slice, pf, tau, counters,
+            min_inf, vs_indexes,
+        )
+        payload = pruned + (
+            result.best_candidate, result.best_influence, result.influences
+        )
+        attrs = {
+            "pruning_s": counters.pruning_seconds,
+            "validation_s": counters.validation_seconds,
+        }
+    record = record_span(
+        f"span:{kind}", t_wall, t_perf, pid=os.getpid(), **attrs
+    )
     return payload, counters, record
 
 

@@ -20,7 +20,9 @@ on every call; the engine ingests Ω once and amortises that work:
   keep reporting the time actually spent,
 * **process parallelism** — ``pool=True, workers=N`` serves the
   candidate axis from N persistent shared-memory workers (see
-  :mod:`repro.engine.pool`), bit-identical to serial execution,
+  :mod:`repro.engine.pool`), bit-identical to serial execution; a
+  round with two or more cold PIN-VO requests sends each one whole to
+  a worker instead,
 * **observability** — hit/miss counters (:class:`EngineStats`), a
   per-query JSONL metrics log with per-phase
   ``pruning_seconds``/``validation_seconds``, and a :meth:`health`
@@ -251,16 +253,20 @@ class _Plan:
     batch_size: int
     #: this request's span tree (NOOP_SPAN when tracing is off)
     trace: Any
-    #: "pool" (spans dispatched, or a pool-tier pruning hit), "serial",
+    #: "pool" (tasks dispatched, or a pool-tier pruning hit), "serial",
     #: or "approx" (answered from the sketch, for ``approx_reason``)
     tier: str = "serial"
     approx_reason: str | None = None
     table: ObjectTable | None = None
-    #: PIN-VO only: "dispatch" (pool spans compute it), "compute" (the
+    #: PIN-VO only: "dispatch" (pool tasks compute it), "compute" (the
     #: parent computes it), or "cached" (memoised before this request,
     #: or computed by an earlier request of the round)
     pruning: str | None = None
     pruning_key: tuple | None = None
+    #: the pool task kind when the request dispatches: "na", "pin",
+    #: "vo_prune" (column spans of PIN-VO's pruning phase) or "vo" (the
+    #: whole PIN-VO query in one worker, chosen by ``_run_round``)
+    kind: str | None = None
     tasks: list = field(default_factory=list)
     #: cache evictions caused while planning this request
     evictions: int = 0
@@ -792,12 +798,15 @@ class QueryEngine:
             return False
         return True
 
-    def _span_tasks(self, plan: _Plan, kind: str, start_id: int) -> list:
-        """Publish the segment ``kind`` reads and build the pool tasks
-        for one request's candidate spans.  One table segment per
-        ``(PF, τ)`` serves both PIN spans and PIN-VO pruning spans; NA
-        reads the single radius-free fleet segment."""
+    def _span_tasks(self, plan: _Plan, start_id: int) -> list:
+        """Publish the segment ``plan.kind`` reads and build the pool
+        tasks for one request: one per candidate span, or one holding
+        every candidate for a whole PIN-VO query.  One table segment
+        per ``(PF, τ)`` serves PIN and PIN-VO tasks alike; NA reads the
+        single radius-free fleet segment."""
         pool = self._pool_for()
+        kind = plan.kind
+        m = plan.cand_xy.shape[0]
         if kind == "na":
             key: tuple = ("fleet",)
             if self._fleet is None:
@@ -827,7 +836,7 @@ class QueryEngine:
                 local_context=local,
             )
             for n, (lo, hi) in enumerate(
-                column_spans(plan.cand_xy.shape[0], self.workers)
+                [(0, m)] if kind == "vo" else column_spans(m, self.workers)
             )
         ]
 
@@ -851,7 +860,8 @@ class QueryEngine:
         but per-object and per-candidate work is served from the
         session caches.  On a pool engine (``pool=True``) NA (vector
         kernel), PIN, and PIN-VO's pruning phase run as candidate spans
-        on the worker pool; everything else runs serially.
+        on the worker pool, and PIN-VO's validation runs in the parent
+        on the merged pruning output; everything else runs serially.
 
         Pooled execution is supervised: a span whose worker crashes or
         raises is retried with bounded backoff (per the engine's
@@ -965,12 +975,15 @@ class QueryEngine:
         outcome instead of an :class:`~repro.core.result.LSResult`, and
         a JSONL record is written for it — nothing is dropped silently.
 
-        On a pool engine every span of every admitted request is
+        On a pool engine every task of every admitted request is
         dispatched to the persistent pool in a *single* round, so
-        workers stream spans back-to-back instead of idling between
-        queries; the sequential PIN-VO validations then run in the
-        parent in request order.  A tripped pool breaker runs the round
-        serially instead.
+        workers stream tasks back-to-back instead of idling between
+        queries.  When the round holds two or more PIN-VO requests
+        whose pruning output is not cached, each of them is one task
+        that runs both phases in a worker, and its pruning output comes
+        back for the cache; a lone one keeps the column split of
+        :meth:`query` and is validated in the parent.  A tripped pool
+        breaker runs the round serially instead.
 
         ``deadline_seconds`` bounds the *whole batch*: on overrun every
         busy pool worker is killed, respawned and joined, a failure
@@ -1088,21 +1101,30 @@ class QueryEngine:
         )
         planned: set[tuple] = set()
         plans: list[_Plan] = []
-        tasks: list[SpanTask] = []
         for req, solver in zip(reqs, solvers):
-            plan = self._plan(
+            plans.append(self._plan(
                 req, solver, tier, self.stats.queries + len(plans), size,
-                planned, start_id=len(tasks),
-            )
-            plans.append(plan)
-            tasks.extend(plan.tasks)
+                planned,
+            ))
+        # Two or more cold PIN-VO requests: each goes whole to a worker,
+        # so their sequential validations run side by side instead of
+        # one by one in the parent.  A lone one keeps the column split,
+        # since spreading its pruning is the round's only parallel work.
+        cold = [plan for plan in plans if plan.pruning == "dispatch"]
+        if len(cold) >= 2:
+            for plan in cold:
+                plan.kind = "vo"
 
         results: list[LSResult] = []
         try:
-            dispatched = [
-                (plan, plan.trace.child("dispatch", mode="pool"))
-                for plan in plans if plan.tasks
-            ]
+            tasks: list[SpanTask] = []
+            dispatched = []
+            for plan in plans:
+                if plan.kind is not None:
+                    span = plan.trace.child("dispatch", mode="pool")
+                    plan.tasks = self._span_tasks(plan, len(tasks))
+                    tasks.extend(plan.tasks)
+                    dispatched.append((plan, span))
             outputs = self._pool.run_batch(tasks, supervisor) if tasks else {}
             for plan, span in dispatched:
                 span.finish()
@@ -1167,17 +1189,19 @@ class QueryEngine:
         *,
         admitted: bool = True,
         approx_reason: str | None = None,
-        start_id: int = 0,
     ) -> _Plan:
-        """Resolve one request through the caches and decide how it
-        executes on the round's ``tier`` — the only place that does.
+        """Resolve one request through the caches and decide its tier
+        and, for PIN-VO, its pruning source — the only place that does.
 
-        The pool takes NA (vector kernel), PIN, and PIN-VO's pruning
-        phase, when the PF pickles; everything else runs serially.  On
-        the approx tier (every exact breaker open) approx-capable
-        algorithms are answered from the sketch.  PIN-VO's pruning
-        output is looked up here, so hit/miss counts follow request
-        order: a key repeated within the round (``planned``) is a hit.
+        The pool takes NA (vector kernel), PIN and PIN-VO, when the PF
+        pickles; everything else runs serially.  On the approx tier
+        (every exact breaker open) approx-capable algorithms are
+        answered from the sketch.  PIN-VO's pruning output is looked up
+        here, so hit/miss counts follow request order: a key repeated
+        within the round (``planned``) is a hit.  Whether a pooled
+        PIN-VO request that must dispatch its pruning goes as column
+        spans or whole depends on the rest of the round, so
+        :meth:`_run_round` decides that once every request is planned.
         """
         evictions = self._total_evictions()
         trace = self.tracer.start(
@@ -1239,7 +1263,7 @@ class QueryEngine:
                         "dispatch" if plan.tier == "pool" else "compute"
                     )
             if plan.tier == "pool" and plan.pruning in (None, "dispatch"):
-                plan.tasks = self._span_tasks(plan, kind, start_id)
+                plan.kind = kind
         plan_span.finish(tier=plan.tier)
         trace.set(tier=plan.tier)
         plan.evictions = self._total_evictions() - evictions
@@ -1249,7 +1273,8 @@ class QueryEngine:
         self, plan: _Plan, outputs: dict, supervisor: Supervisor | None
     ) -> LSResult:
         """One request's result: the sketch estimate, its merged pool
-        spans, or its serial phases — plus its supervision counters."""
+        spans, its whole-query pool task, or its serial phases — plus
+        its supervision counters."""
         evictions = self._total_evictions()
         trace, solver, table = plan.trace, plan.solver, plan.table
         m = plan.cand_xy.shape[0]
@@ -1280,6 +1305,26 @@ class QueryEngine:
                 result = full_table_result(
                     solver.name, plan.candidates, influence, counters
                 )
+            elif plan.kind == "vo":
+                (task,) = plan.tasks
+                (min_inf, vs_indexes, pruned, best, best_influence,
+                 influences), worker_counters, _ = outputs[task.task_id]
+                with trace.child("merge"):
+                    # the worker shipped its pruning output untouched:
+                    # a later request of the round repeating the key
+                    # still hits the cache
+                    self._prunings[plan.pruning_key] = (
+                        min_inf, vs_indexes, _counts_only(pruned)
+                    )
+                    counters.merge(worker_counters)
+                    result = LSResult(
+                        algorithm=solver.name,
+                        best_candidate=plan.candidates[best],
+                        best_influence=best_influence,
+                        influences=influences,
+                        elapsed_seconds=0.0,
+                        instrumentation=counters,
+                    )
             else:
                 min_inf, vs_indexes = self._pruning_output(
                     plan, outputs, counters, supervisor

@@ -14,10 +14,15 @@ missing dimension: every query served with tracing enabled produces a
     ├── plan             solver construction + cache resolution
     ├── prune            PIN-VO pruning in the parent (cache hit or computed)
     ├── dispatch         mode=serial: the solver; mode=pool: the pool round
-    │   └── span:pin         per-span child, measured in the pool worker
+    │   └── span:pin         per-task child, measured in the pool worker
     │                        and shipped back over its reply pipe
-    ├── merge            assembling span outputs into the result
-    └── validate         PIN-VO Strategy-1/2 validation (sequential)
+    ├── merge            assembling task outputs into the result
+    └── validate         PIN-VO Strategy-1/2 validation in the parent
+
+A pooled PIN-VO request in a round with two or more cold PIN-VO
+requests runs whole in one worker: its tree is ``admission → plan →
+dispatch → merge``, and the dispatch's one ``span:vo`` child carries
+the two phase times (``pruning_s``, ``validation_s``).
 
 carrying a ``trace_id`` that is also stamped into the query's JSONL
 record, so logs, metrics, and traces correlate (the observability

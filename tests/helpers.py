@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.influence import distances, log1m_safe
 from repro.core.minmax_radius import min_max_radius
+from repro.core.result import Instrumentation
 from repro.model import Candidate, MovingObject
 from repro.prob import (
     ConcavePF,
@@ -14,6 +16,7 @@ from repro.prob import (
     LogsigPF,
     PowerLawPF,
 )
+from repro.prob.base import ProbabilityFunction
 
 
 def make_objects(
@@ -104,3 +107,55 @@ def boundary_placements(pf, tau, count, seed):
             )
         )
     return objects, candidates
+
+
+def batch_validate_objects(
+    pf: ProbabilityFunction,
+    positions_list: list[np.ndarray],
+    cx: float,
+    cy: float,
+    log_threshold: float,
+    counters: Instrumentation | None = None,
+    head: int = 16,
+) -> np.ndarray:
+    """List-based reference for ``batch_validate_spans``.
+
+    The same two-phase Strategy-2 evaluation over a list of ``(n, 2)``
+    position arrays: first the leading ``head`` positions of every
+    object in one concatenated kernel, then the undecided objects'
+    tails in a second.  The tests check the columnar kernel against
+    it, answers and counters alike.
+
+    Returns a boolean array aligned with ``positions_list``.
+    """
+    k = len(positions_list)
+    lengths = np.array([p.shape[0] for p in positions_list])
+    if counters is not None:
+        counters.pairs_validated += k
+        counters.positions_total += int(lengths.sum())
+
+    heads = [p[:head] for p in positions_list]
+    head_lengths = np.minimum(lengths, head)
+    head_xy = np.concatenate(heads, axis=0)
+    offsets = np.concatenate([[0], np.cumsum(head_lengths)[:-1]])
+    d = distances(head_xy[:, 0], head_xy[:, 1], cx, cy)
+    s_head = np.add.reduceat(log1m_safe(pf(d)), offsets)
+    if counters is not None:
+        counters.positions_evaluated += int(head_lengths.sum())
+
+    influenced = s_head <= log_threshold
+    undecided = ~influenced & (lengths > head)
+    if counters is not None:
+        counters.early_stops += int(np.count_nonzero(influenced & (lengths > head)))
+    if np.any(undecided):
+        idx = np.nonzero(undecided)[0]
+        tails = [positions_list[i][head:] for i in idx]
+        tail_lengths = lengths[idx] - head
+        tail_xy = np.concatenate(tails, axis=0)
+        tail_offsets = np.concatenate([[0], np.cumsum(tail_lengths)[:-1]])
+        d = distances(tail_xy[:, 0], tail_xy[:, 1], cx, cy)
+        s_tail = np.add.reduceat(log1m_safe(pf(d)), tail_offsets)
+        if counters is not None:
+            counters.positions_evaluated += int(tail_lengths.sum())
+        influenced[idx] = (s_head[idx] + s_tail) <= log_threshold
+    return influenced

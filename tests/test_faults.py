@@ -31,7 +31,9 @@ from repro.engine import (
     DeadlineExceeded,
     FaultInjector,
     FaultSpec,
+    QueryRequest,
     SupervisorPolicy,
+    pool_segments,
 )
 from repro.engine.pool import fork_available
 from repro.prob import PowerLawPF
@@ -229,31 +231,49 @@ class TestDelayAndDeadline:
     def test_delay_past_deadline_raises_within_tolerance(
         self, world, candidates, pf, tmp_path
     ):
-        path = tmp_path / "metrics.jsonl"
-        with make_engine(
-            world,
-            [FaultSpec(kind="delay", worker=0, delay_seconds=30.0, times=99)],
-            metrics_path=path,
-        ) as engine:
-            started = time.perf_counter()
-            with pytest.raises(DeadlineExceeded) as excinfo:
-                engine.query(
-                    candidates, pf=pf, tau=0.7, algorithm="PIN",
-                    deadline_seconds=0.5,
-                )
-            elapsed = time.perf_counter() - started
-        # Clean timeout: raised once the budget expired, nowhere near
-        # the 30s stall, and the stalled worker was killed.
-        assert 0.45 <= elapsed < 5.0
-        assert excinfo.value.deadline_seconds == 0.5
-        assert engine.stats.deadline_exceeded == 1
-        assert_no_orphans()
-        # The failed query is still a JSONL record.
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert records[-1]["deadline_exceeded"] is True
-        assert records[-1]["best_candidate"] is None
-        assert records[-1]["deadline_seconds"] == 0.5
-        assert records == engine.metrics_log
+        # A lone PIN query stalls in a column span; a round of two cold
+        # PIN-VO requests stalls in a whole-query task, so the hard
+        # kill lands on a worker that runs a query's validation too.
+        batch = [
+            QueryRequest(candidates, pf, tau, "PIN-VO") for tau in (0.6, 0.7)
+        ]
+        for name, requests, run in (
+            ("query", 1, lambda engine: engine.query(
+                candidates, pf=pf, tau=0.7, algorithm="PIN",
+                deadline_seconds=0.5,
+            )),
+            ("batch", len(batch), lambda engine: engine.query_batch(
+                batch, deadline_seconds=0.5
+            )),
+        ):
+            path = tmp_path / f"{name}.jsonl"
+            with make_engine(
+                world,
+                [FaultSpec(kind="delay", worker=0, delay_seconds=30.0,
+                           times=99)],
+                metrics_path=path,
+            ) as engine:
+                started = time.perf_counter()
+                with pytest.raises(DeadlineExceeded) as excinfo:
+                    run(engine)
+                elapsed = time.perf_counter() - started
+            # Clean timeout: raised once the budget expired, nowhere
+            # near the 30s stall, and the stalled worker was killed.
+            assert 0.45 <= elapsed < 5.0, name
+            assert excinfo.value.deadline_seconds == 0.5
+            assert engine.stats.deadline_exceeded == requests
+            assert_no_orphans()
+            assert pool_segments() == []
+            # Each failed request is still a JSONL record.
+            records = [
+                json.loads(line) for line in path.read_text().splitlines()
+            ]
+            assert len(records) == requests
+            for record in records:
+                assert record["deadline_exceeded"] is True
+                assert record["best_candidate"] is None
+                assert record["deadline_seconds"] == 0.5
+            assert records == engine.metrics_log
 
     def test_deadline_met_returns_normally(
         self, world, candidates, pf, serial_answers

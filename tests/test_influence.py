@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.core.influence import (
     batch_log_non_influence,
-    batch_validate_objects,
     batch_validate_spans,
     cumulative_probability,
     influence_threshold_log,
@@ -19,6 +18,8 @@ from repro.core.influence import (
 )
 from repro.core.result import Instrumentation
 from repro.prob import PowerLawPF
+
+from .helpers import batch_validate_objects
 
 
 def direct_cumulative(pf, positions, cx, cy):

@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.influence import (
     influence_threshold_log,
-    batch_validate_objects,
     validate_pair,
 )
 from repro.core.naive import NaiveAlgorithm
@@ -20,7 +19,11 @@ from repro.core.pruning import classify_span, classify_table_chunks
 from repro.core.object_table import ObjectTable
 from repro.prob import PowerLawPF
 
-from tests.helpers import make_candidates, make_objects
+from tests.helpers import (
+    batch_validate_objects,
+    make_candidates,
+    make_objects,
+)
 
 PF = PowerLawPF()
 

@@ -7,8 +7,9 @@ The contract under test is ``docs/observability.md``:
   → ``prune``/``dispatch``/``validate``/``merge``) whose ``trace_id``
   is stamped into the matching JSONL record (schema v2),
 * worker-side child spans travel back over the pool's reply pipes and
-  appear under the parent's dispatch span, with one tree shape per
-  tier whichever query method served the request,
+  appear under the parent's dispatch span; a tree's shape follows from
+  the request's tier and how it ran, never from the query method that
+  served it,
 * ``QueryEngine.metrics_text()`` renders valid Prometheus text
   exposition, and the HTTP front end serves the same page at
   ``GET /metrics``,
@@ -334,12 +335,42 @@ class TestEngineTracing:
             assert trace["attrs"]["tier"] == "serial"
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    @pytest.mark.parametrize("batch", [False, True], ids=["query", "batch"])
+    @pytest.mark.parametrize("mode", ["query", "batch", "round"])
     def test_pool_span_trees_carry_worker_spans(
-        self, world, candidates, tmp_path, batch
+        self, world, candidates, tmp_path, mode
     ):
+        if mode == "round":
+            # Two cold PIN-VO requests in one round: each runs whole in
+            # one worker, and its span carries both phase times.
+            path = tmp_path / "traces.jsonl"
+            with QueryEngine(
+                world, workers=2, pool=True, trace_path=path
+            ) as engine:
+                engine.query_batch([
+                    QueryRequest(candidates, None, tau, "PIN-VO")
+                    for tau in (0.6, 0.7)
+                ])
+            traces = read_trace_file(path)
+            assert len(traces) == 2
+            for trace, record in zip(traces, engine.metrics_log):
+                assert trace["attrs"]["tier"] == "pool"
+                assert span_names(trace) == [
+                    "admission", "plan", "dispatch", "merge"
+                ]
+                (span,) = find_span(trace, "dispatch")["children"]
+                assert span["name"] == "span:vo"
+                attrs = span["attrs"]
+                assert attrs["pruning_s"] == record["pruning_seconds"] > 0
+                assert attrs["validation_s"] == (
+                    record["validation_seconds"]
+                ) > 0
+            assert sorted(
+                worker_spans(t)[0]["attrs"]["worker"] for t in traces
+            ) == [0, 1]
+            return
         engine, traces = self.run_engine(
-            world, candidates, tmp_path, batch=batch, workers=2, pool=True
+            world, candidates, tmp_path, batch=mode == "batch", workers=2,
+            pool=True,
         )
         na, _, vo = traces
         for trace in traces:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import QueryEngine, select_location
+from repro.core.result import Instrumentation
 from repro.engine import (
     BreakerConfig,
     FaultInjector,
@@ -113,6 +115,14 @@ class TestBitIdentity:
                 algorithm=req.algorithm,
             )
             assert_same_result(got, want, counters=True)
+            # four cold PIN-VO requests: each ran whole in one worker,
+            # on the serial code path, so every other count matches
+            assert got.instrumentation.spans_dispatched == 1
+            for fld in fields(Instrumentation):
+                if fld.type == "int" and fld.name != "spans_dispatched":
+                    assert getattr(got.instrumentation, fld.name) == (
+                        getattr(want.instrumentation, fld.name)
+                    ), fld.name
         assert_no_orphans()
 
     def test_batch_repeated_pruning_key_is_a_hit(self, world, candidates, pf):
@@ -126,6 +136,16 @@ class TestBitIdentity:
             first, second = engine.query_batch(requests)
             assert engine.stats.pruning_hits >= 1
         assert_same_result(second, first, counters=True)
+        # Two cold requests on 2 workers go whole to a worker each; the
+        # first one's pruning output lands in the cache before the
+        # third request, which repeats it, is assembled.
+        requests.insert(1, QueryRequest(candidates, pf, 0.6, "PIN-VO"))
+        with pooled_engine(world, workers=2) as engine:
+            first, _, third = engine.query_batch(requests)
+            assert engine.stats.pruning_hits == 1
+            assert engine.stats.pruning_misses == 2
+        assert first.instrumentation.spans_dispatched == 1
+        assert_same_result(third, first, counters=True)
 
     @settings(max_examples=8, deadline=None)
     @given(

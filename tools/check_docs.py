@@ -1,6 +1,6 @@
 """Docs health checker: links, API coverage, metric catalog, code refs.
 
-Six checks, all cheap enough for every CI run:
+Seven checks, all cheap enough for every CI run:
 
 1. every relative link in the doc files (``README.md``, ``DESIGN.md``,
    ``EXPERIMENTS.md`` and ``docs/**/*.md``) resolves to a file that
@@ -24,7 +24,13 @@ Six checks, all cheap enough for every CI run:
    ``*.py`` path on a fenced line, and every ``make <target>`` in a
    code span or at the start of a fenced line of the doc files exists
    in the checkout — a deleted script or make target must not live on
-   in the docs either.
+   in the docs either;
+7. every ``prime-ls <word>`` in an inline code span or on a fenced
+   line of the doc files names a CLI command (a key of
+   ``repro.cli._ALLOWED_FLAGS``) or an experiment (a name in
+   ``repro.cli._registry()``), and every ``--flag`` after it in the
+   same span or line, up to the next ``prime-ls``, is one that command
+   accepts — a retired command or flag must not live on in the docs.
 
 Exit status 0 when all pass, 1 with one line per problem otherwise.
 Run as ``PYTHONPATH=src python tools/check_docs.py`` from the repo
@@ -289,6 +295,53 @@ def check_repo_refs() -> list[str]:
     return problems
 
 
+# `prime-ls <word>`, and a --flag after it.
+_COMMAND = re.compile(r"\bprime-ls\s+([a-z][\w-]*)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+def cli_commands() -> dict[str, set[str]]:
+    """Every ``prime-ls`` command and experiment -> the flags it accepts."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro import cli
+
+    commands = {name: set(flags) for name, flags in cli._ALLOWED_FLAGS.items()}
+    for name in cli._registry():
+        commands[name] = set(cli._EXPERIMENT_FLAGS)
+    return commands
+
+
+def check_cli_refs() -> list[str]:
+    """Return one problem string per unknown command or unaccepted flag."""
+    commands = cli_commands()
+    problems = []
+    for md in doc_files():
+        rel = md.relative_to(REPO)
+        prose, fenced = split_fences(md)
+        texts = [
+            (prose.count("\n", 0, match.start()) + 1, match.group(1))
+            for match in _SPAN.finditer(prose)
+        ]
+        for lineno, text in sorted(texts + fenced):
+            mentions = list(_COMMAND.finditer(text))
+            ends = [m.start() for m in mentions[1:]] + [len(text)]
+            for mention, end in zip(mentions, ends):
+                command = mention.group(1)
+                if command not in commands:
+                    problems.append(
+                        f"{rel}:{lineno}: `prime-ls {command}` is not a "
+                        f"command"
+                    )
+                    continue
+                for flag in _FLAG.findall(text, mention.end(), end):
+                    if flag not in commands[command]:
+                        problems.append(
+                            f"{rel}:{lineno}: `prime-ls {command}` does "
+                            f"not accept {flag}"
+                        )
+    return problems
+
+
 def main() -> int:
     """Run all checks; print problems; return a process exit code."""
     problems = (
@@ -298,6 +351,7 @@ def main() -> int:
         + check_metric_catalog()
         + check_code_refs()
         + check_repo_refs()
+        + check_cli_refs()
     )
     for problem in problems:
         print(problem)
