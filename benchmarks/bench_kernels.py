@@ -66,18 +66,19 @@ def test_kernel_batch_log_non_influence(benchmark, positions, cand_xy):
 
 
 def test_kernel_batch_validate_spans(benchmark):
-    # PIN-VO's serving kernel on one 128-object batch of a table export
+    # PIN-VO's serving kernel on one 128-object batch of a fleet export
     rng = np.random.default_rng(2)
     table = ObjectTable(
         [MovingObject(oid, rng.uniform(0, 30, size=(40, 2)))
          for oid in range(128)],
         PF, 0.7,
     )
-    xy, offsets = table.positions_offsets()
-    span = np.arange(table.live_count)
+    fleet = table.fleet
+    span = table.rows
     assert span.size == 128
     benchmark(
-        batch_validate_spans, PF, xy, offsets, span, 15.0, 15.0, LOG_THR
+        batch_validate_spans, PF, fleet.xy, fleet.offsets, span,
+        15.0, 15.0, LOG_THR,
     )
 
 

@@ -356,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         default=False,
         help=(
             "with 'serve': serve queries from the persistent "
-            "shared-memory worker pool (needs --workers >= 2)"
+            "fork worker pool (needs --workers >= 2)"
         ),
     )
     parser.add_argument(

@@ -222,14 +222,13 @@ def batch_validate_spans(
     remaining positions are evaluated in a second kernel.  Exact, and
     the position counters reflect the early-stopping savings.
 
-    ``xy``/``offsets`` are a table's columnar export: ``xy`` is the
+    ``xy``/``offsets`` are a fleet's columnar export: ``xy`` is the
     ``(2, Σn)`` block whose rows are the x and y columns, and object
     ``i`` owns columns ``offsets[i]:offsets[i+1]``.  ``idx`` selects
-    the objects to validate — the verification-set span of one
-    candidate.  Runs the same two-phase Strategy-2 evaluation without
-    ever materialising per-object arrays or entry wrappers, so pool
-    workers validate directly against the attached shared segment.
-    Bit-identical to the list-based reference the tests keep
+    the objects to validate — the fleet rows of one candidate's
+    verification-set span.  Runs the same two-phase Strategy-2
+    evaluation without ever materialising per-object arrays or entry
+    wrappers.  Bit-identical to the list-based reference the tests keep
     (``tests/helpers.py::batch_validate_objects``): the gathered
     position order, the reduceat segmentation, and every counter
     match exactly.

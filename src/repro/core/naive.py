@@ -25,7 +25,7 @@ from repro.core.influence import (
     log_non_influence,
     validate_pair,
 )
-from repro.core.object_table import ColumnarTable, fleet_to_columnar
+from repro.core.object_table import ColumnarTable, export_fleet
 from repro.core.result import Instrumentation, LSResult, full_table_result
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
@@ -54,7 +54,7 @@ class NaiveAlgorithm(LocationSelector):
         cand_xy = candidates_to_array(candidates)
         if self.kernel == "vector":
             influence = self.compute_influence(
-                fleet_to_columnar(objects), cand_xy, pf, tau, counters
+                export_fleet(objects), cand_xy, pf, tau, counters
             )
         else:
             log_threshold = influence_threshold_log(tau)
@@ -76,8 +76,9 @@ class NaiveAlgorithm(LocationSelector):
         Candidate columns are independent, so the serving engine shards
         this across worker processes and concatenates the results
         (bit-identical to a full-width call).  ``fleet`` is the fleet's
-        columnar export (:func:`repro.core.object_table.fleet_to_columnar`),
-        the same arrays a pool worker attaches.  NA has no pruning
+        columnar export (:func:`repro.core.object_table.export_fleet`),
+        the one a serving engine builds at ingest and its pool workers
+        inherit.  NA has no pruning
         phase: all its time lands in ``validation_seconds``.
         """
         x, y = fleet.xy

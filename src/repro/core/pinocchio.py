@@ -128,7 +128,6 @@ class Pinocchio(LocationSelector):
         log_threshold = influence_threshold_log(tau)
         started = time.perf_counter()
         validation_before = counters.validation_seconds
-        columns = table.to_columnar()
         for rows, cols, ia, band in pruning_blocks(self, table, cand_xy):
             ia_count = int(np.count_nonzero(ia))
             band_count = int(np.count_nonzero(band))
@@ -142,7 +141,7 @@ class Pinocchio(LocationSelector):
                 with counters.phase("validation"):
                     for i, maybe in work:
                         influenced[i, maybe] = self._validate_band(
-                            columns.object_positions(int(rows[i])),
+                            table.positions(rows[i]),
                             cand_xy[cols[maybe]], pf, log_threshold,
                             counters,
                         )
@@ -162,7 +161,7 @@ class Pinocchio(LocationSelector):
     ) -> np.ndarray:
         """Exact verdicts for one object's band candidates ``band_xy``.
 
-        ``positions`` is the object's ``(n, 2)`` view into the table's
+        ``positions`` is the object's ``(n, 2)`` view into the fleet's
         columnar x/y block.
         """
         if self.kernel == "vector":

@@ -23,10 +23,13 @@ Bookkeeping notes (all behaviour-preserving w.r.t. Algorithm 3):
   this is sound and strictly tightens Strategy 1 from the first pop.
 * In the default vector kernel, one candidate's verification set is
   validated in object batches with a two-phase early stop, gathered
-  columnar from the table's x/y position block
-  (:func:`repro.core.influence.batch_validate_spans`); Strategy 1
-  aborts at batch boundaries.  The scalar kernel follows the paper's
-  per-object/per-position loop exactly.
+  columnar from the fleet's x/y position block through the table's
+  fleet rows (:func:`repro.core.influence.batch_validate_spans`);
+  Strategy 1 aborts at batch boundaries.  The scalar kernel follows
+  the paper's per-object/per-position loop exactly.
+* ``maxminInf`` generalises to the ``k``-th best certified lower bound
+  (:attr:`PinocchioVO.k`), which is how TOP-K
+  (:class:`repro.core.topk.TopKPrimeLS`) reuses this loop.
 
 PIN-VO* (§6.1) is the ablation with the pruning phase disabled: every
 live object of every candidate goes to validation, and only the two
@@ -56,6 +59,15 @@ from repro.model.moving_object import MovingObject
 from repro.prob.base import ProbabilityFunction
 
 
+def _kth_largest(bounds: np.ndarray, k: int) -> int:
+    """The ``k``-th largest entry of ``bounds``, or 0 with fewer than
+    ``k`` entries (no candidate may then be abandoned)."""
+    m = bounds.shape[0]
+    if m < k:
+        return 0
+    return int(np.partition(bounds, m - k)[m - k])
+
+
 class PinocchioVO(LocationSelector):
     """Algorithm 3: pruning + optimised validation (Strategies 1 and 2)."""
 
@@ -63,6 +75,10 @@ class PinocchioVO(LocationSelector):
 
     #: whether the pruning phase runs (PIN-VO* turns it off)
     use_pruning = True
+
+    #: how many leading candidates validation must certify: Strategy 1
+    #: stops at the k-th best lower bound (TOP-K raises it)
+    k = 1
 
     #: objects validated per batched kernel call in vector mode
     BATCH_OBJECTS = 128
@@ -127,6 +143,12 @@ class PinocchioVO(LocationSelector):
         sharded across worker processes (candidate columns are
         independent) and feed the merged ``minInf``/``VS`` arrays into
         the inherently sequential heap loop here.
+
+        Each candidate keeps one certified lower bound: its pruning
+        bound, then its exact influence once fully validated.  The
+        Strategy-1 threshold is the :attr:`k`-th largest of these
+        bounds (``maxminInf`` for ``k = 1``): a candidate whose upper
+        bound falls below it has ``k`` others certified to beat it.
         """
         m = cand_xy.shape[0]
         log_threshold = influence_threshold_log(tau)
@@ -134,7 +156,9 @@ class PinocchioVO(LocationSelector):
 
         # maxInf(c) = minInf(c) + |VS(c)| (see module docstring).
         max_inf = min_inf + np.array([v.size for v in vs_indexes], dtype=int)
-        maxmin_inf = int(min_inf.max())
+        bounds = min_inf.copy()
+        threshold = _kth_largest(bounds, self.k)
+        best = int(min_inf.max())
         best_idx = int(min_inf.argmax())
         fully_validated: dict[int, int] = {}
 
@@ -144,33 +168,35 @@ class PinocchioVO(LocationSelector):
         while heap:
             _, _, j = heapq.heappop(heap)
             counters.heap_pops += 1
-            if max_inf[j] < maxmin_inf:
+            if max_inf[j] < threshold:
                 # Strategy 1: nothing left on the heap can beat the
-                # best certified influence.
+                # k-th best certified influence.
                 counters.candidates_skipped_strategy1 += 1 + len(heap)
                 break
             aborted = self._validate_candidate(
                 pf, table, vs_indexes[j],
                 cand_xy[j, 0], cand_xy[j, 1],
-                log_threshold, counters, min_inf, max_inf, j, maxmin_inf,
+                log_threshold, counters, min_inf, max_inf, j, threshold,
             )
             if aborted:
                 continue
             counters.candidates_fully_validated += 1
-            fully_validated[j] = int(min_inf[j])
-            if min_inf[j] > maxmin_inf or (
-                min_inf[j] == maxmin_inf and best_idx not in fully_validated
+            fully_validated[j] = bounds[j] = int(min_inf[j])
+            if min_inf[j] > best or (
+                min_inf[j] == best and best_idx not in fully_validated
             ):
                 best_idx = j
-            maxmin_inf = max(maxmin_inf, int(min_inf[j]))
+            best = max(best, int(min_inf[j]))
+            threshold = _kth_largest(bounds, self.k)
         counters.validation_seconds += time.perf_counter() - timer_started
 
         # The winner is always fully validated by the time the loop
-        # stops: a candidate holding the current maxminInf as a pure
-        # lower bound still sits on the heap with maxInf >= maxminInf,
-        # which blocks the Strategy-1 break until it has been popped —
-        # and a popped bound-holder can never be aborted mid-validation
-        # (its maxInf stays >= its own certified lower bound).
+        # stops: a candidate holding the best certified influence as a
+        # pure lower bound still sits on the heap with maxInf >= that
+        # bound >= the threshold, which blocks the Strategy-1 break
+        # until it has been popped — and a popped bound-holder can
+        # never be aborted mid-validation (its maxInf stays >= its own
+        # certified lower bound).
         best_influence = fully_validated.get(best_idx, int(min_inf[best_idx]))
         return LSResult(
             algorithm=self.name,
@@ -236,7 +262,7 @@ class PinocchioVO(LocationSelector):
         min_inf: np.ndarray,
         max_inf: np.ndarray,
         j: int,
-        maxmin_inf: int,
+        threshold: int,
     ) -> bool:
         """Validate one candidate's verification set.
 
@@ -244,17 +270,16 @@ class PinocchioVO(LocationSelector):
         """
         if self.kernel == "vector":
             # Columnar Strategy-2 kernel: each batch of the span is
-            # gathered straight from the table's x/y position block —
-            # no per-object arrays, no entry wrappers (pool workers
-            # validate against the attached shared segment as-is).
-            xy, offsets = table.positions_offsets()
+            # gathered straight from the fleet's x/y position block
+            # through the table's fleet rows — no per-object arrays.
+            fleet, rows = table.fleet, table.rows
             for start in range(0, vs.size, self.BATCH_OBJECTS):
                 batch = vs[start : start + self.BATCH_OBJECTS]
                 influenced = batch_validate_spans(
                     pf,
-                    xy,
-                    offsets,
-                    batch,
+                    fleet.xy,
+                    fleet.offsets,
+                    rows[batch],
                     cx,
                     cy,
                     log_threshold,
@@ -263,20 +288,19 @@ class PinocchioVO(LocationSelector):
                 hits = int(np.count_nonzero(influenced))
                 min_inf[j] += hits
                 max_inf[j] -= batch.size - hits
-                if max_inf[j] < maxmin_inf:
+                if max_inf[j] < threshold:
                     counters.candidates_skipped_strategy1 += 1
                     return True
             return False
-        cols = table.to_columnar()
         for i in vs.tolist():
             fail_fast_bound = None
             if self.fail_fast:
-                mbr = MBR(*cols.mbrs[i].tolist())
+                mbr = MBR(*table.mbrs[i].tolist())
                 p_ub = float(pf(mbr.min_dist(cx, cy)))
                 fail_fast_bound = float(log1m_safe(p_ub))
             influenced = validate_pair(
                 pf,
-                cols.object_positions(i),
+                table.positions(i),
                 cx,
                 cy,
                 log_threshold,
@@ -289,7 +313,7 @@ class PinocchioVO(LocationSelector):
                 min_inf[j] += 1
             else:
                 max_inf[j] -= 1
-                if max_inf[j] < maxmin_inf:
+                if max_inf[j] < threshold:
                     counters.candidates_skipped_strategy1 += 1
                     return True
         return False

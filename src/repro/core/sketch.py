@@ -16,8 +16,8 @@ smallest hashes are kept — a uniform sample without replacement that is
 deterministic under a fixed seed, independent of the geometry, and
 mergeable across fleets (the bottom-k of a union is the bottom-k of the
 per-fleet bottom-k unions).  For every sampled object the sketch
-gathers its position block, MBR, and ``minMaxRadius`` out of the
-table's columnar export (:meth:`ObjectTable.to_columnar`), so an
+gathers its MBR and ``minMaxRadius`` from the table and its positions
+from the fleet's columnar export (:attr:`ObjectTable.fleet`), so an
 estimate runs the exact IA/NIB classification and the Strategy-2
 ``log_non_influence`` partial-sum validation — the same kernels as the
 exact path — restricted to the ``k`` sampled objects.
@@ -156,8 +156,7 @@ class InfluenceSketch:
     ) -> "InfluenceSketch":
         """Sketch ``table``'s live objects (bottom-k of hashed ids).
 
-        Reads only the table's columnar export, so building works
-        identically on tables attached from shared memory.
+        Reads only the table's columns and its fleet export.
         Deterministic: same table contents, same ``seed`` — same
         sketch.
         """
@@ -165,19 +164,19 @@ class InfluenceSketch:
             raise ValueError(f"sketch k must be >= 1, got {k}")
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
-        cols = table.to_columnar()
-        n = cols.count
+        fleet = table.fleet
+        object_ids = fleet.object_ids[table.rows]
+        n = table.live_count
         k_eff = min(int(k), n)
         if k_eff == 0:
             sel = np.empty(0, dtype=np.int64)
         else:
-            hashes = _splitmix64(
-                np.asarray(cols.object_ids, dtype=np.int64), seed
-            )
+            hashes = _splitmix64(object_ids, seed)
             # stable sort so duplicate ids (hash ties) keep row order
             sel = np.sort(np.argsort(hashes, kind="stable")[:k_eff])
-        starts = cols.offsets[sel]
-        lengths = cols.offsets[sel + 1] - starts
+        rows = table.rows[sel]
+        starts = fleet.offsets[rows]
+        lengths = fleet.offsets[rows + 1] - starts
         index, prefix = span_index(starts, lengths)
         return cls(
             pf=table.pf,
@@ -186,11 +185,11 @@ class InfluenceSketch:
             k=k_eff,
             seed=seed,
             delta=delta,
-            sampled_ids=np.asarray(cols.object_ids)[sel].copy(),
-            xy=np.take(cols.xy, index, axis=1),
+            sampled_ids=object_ids[sel],
+            xy=np.take(fleet.xy, index, axis=1),
             offsets=np.append(prefix, index.size),
-            mbrs=np.ascontiguousarray(cols.mbrs[sel]),
-            radii=np.ascontiguousarray(cols.radii[sel]),
+            mbrs=table.mbrs[sel],
+            radii=table.radii[sel],
         )
 
     @property

@@ -75,7 +75,10 @@ class WeightedPrimeLS(LocationSelector):
         counters.pairs_total = table.live_count * m
         influence = np.zeros(m, dtype=float)
         weights = np.array(
-            [weight_by_id[int(oid)] for oid in table.to_columnar().object_ids],
+            [
+                weight_by_id[oid]
+                for oid in table.fleet.object_ids[table.rows].tolist()
+            ],
             dtype=float,
         )
         for rows, cols, influenced in Pinocchio().influence_blocks(

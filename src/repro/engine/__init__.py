@@ -5,9 +5,10 @@
   per candidate set, PIN-VO pruning output) with hit/miss counters, a
   JSONL metrics log, and batched admission
   (:meth:`QueryEngine.query_batch`),
-* :mod:`repro.engine.pool` — the persistent shared-memory worker pool
-  (``pool=True``): long-lived workers attach the columnar fleet/table
-  exports once and serve candidate-span tasks (or, in a round with
+* :mod:`repro.engine.pool` — the persistent fork worker pool
+  (``pool=True``): long-lived workers inherit the engine's fleet
+  export through fork, build each ``(PF, τ)`` table's radius column
+  on first use, and serve candidate-span tasks (or, in a round with
   two or more cold PIN-VO queries, whole PIN-VO queries) from a
   dispatch queue, bit-identical to serial execution, supervised
   (per-span retry with bounded backoff, degrade-to-serial, hard
@@ -65,13 +66,7 @@ from repro.engine.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.engine.pool import (
-    SEGMENT_PREFIX,
-    Supervisor,
-    WorkerPool,
-    fork_available,
-    pool_segments,
-)
+from repro.engine.pool import Supervisor, WorkerPool, fork_available
 from repro.engine.server import (
     ApiError,
     BackgroundServer,
@@ -105,8 +100,6 @@ __all__ = [
     "QueryRequest",
     "EngineStats",
     "WorkerPool",
-    "pool_segments",
-    "SEGMENT_PREFIX",
     "fork_available",
     "FaultSpec",
     "FaultInjector",

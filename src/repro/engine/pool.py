@@ -1,4 +1,4 @@
-"""Persistent shared-memory worker pool for the serving engine.
+"""Persistent fork worker pool for the serving engine.
 
 The candidate axis is split into contiguous column spans
 (:func:`column_spans`); each span is resolved independently and the
@@ -18,61 +18,55 @@ pruning phase and is validated in the parent on the merged output.
 Starting a worker per query would pay process startup and
 copy-on-write page faults on *every* dispatch.  This module amortises
 that cost the way the engine's caches amortise table construction:
-``QueryEngine`` lazily starts N long-lived workers, publishes the
-columnar export of each cached ``(PF, τ)`` object table
-(:meth:`ObjectTable.to_columnar`) — and, for NA, the raw fleet — in
-``multiprocessing.shared_memory`` segments, and thereafter every query
-only ships span *bounds* and candidate slices down a per-worker pipe.
-Workers keep each attached segment as it arrived: a fleet export is
-the :class:`ColumnarTable` NA reads, and a table export is wrapped as
-an :class:`ObjectTable` (:meth:`ObjectTable.from_columnar`) without a
-copy, so a warm query touches no table memory it does not read.
+``QueryEngine`` lazily starts N long-lived workers, and thereafter
+every query only ships span *bounds* and candidate slices down a
+per-worker pipe.  An engine's fleet never changes after ingest and
+its workers are forked after ingest, so each worker reads the
+parent's fleet export (:class:`~repro.core.object_table.ColumnarTable`)
+through the pages it inherited: NA reads it as it is, and a span for
+a ``(PF, τ)`` carries the parent's table key, under which the worker
+builds that table's radius column (:class:`ObjectTable`) on first use
+and memoises it.  Nothing is copied into or out of shared memory.
 
 Dispatch protocol (all messages are plain picklable tuples):
 
-* ``("attach", key, shm_name, meta, pf, tau)`` — worker opens the
-  named segment, wraps it as a table (or keeps the fleet export when
-  it has no radii) and memoises it under ``key``.  Sent lazily, once
-  per worker per segment; pipe FIFO ordering guarantees
-  attach-before-span.
-* ``("span", task_id, key, kind, algorithm, kwargs, pf, tau,
+* ``("span", task_id, table_key, kind, algorithm, kwargs, pf, tau,
   cand_slice, query_id, attempt, injector)`` — run one candidate span
   (``kind`` is ``"na"``/``"pin"``/``"vo_prune"``), or one whole PIN-VO
   query (``"vo"``, whose slice is every candidate), and reply
   ``("ok", task_id, payload, counters, span_record)`` or
   ``("error", task_id, msg)``; the trailing
   :class:`~repro.engine.trace.SpanRecord` is the worker-measured trace
-  child the parent hangs under the query's span tree.
-* ``("stop",)`` — detach segments and exit.
+  child the parent hangs under the query's span tree.  ``table_key``
+  is ``None`` for NA, which reads the fleet.
+* ``("stop",)`` — exit.
 
 Supervision (one :class:`Supervisor` per admission round): a dead
 worker is detected via its process sentinel (not pipe EOF — sibling
 forks inherit copies of the other pipes' fds, which would defeat EOF
 detection) alongside its result pipe, or by a failed ``send`` when it
 died idle between rounds; any buffered results are drained first, the
-worker is respawned (and lazily re-attached), and its in-flight spans
-are re-dispatched with bounded backoff.  Once a span exhausts
-:attr:`SupervisorPolicy.max_retries` — or the pool tier's circuit
-breaker (:mod:`repro.engine.breaker`) trips, cancelling further
-retries at a tier the ladder has given up on — it degrades to a
-serial in-parent run over the task's ``local_context`` — fault hooks
+worker is respawned (a fresh fork inherits the same fleet export), and
+its in-flight spans are re-dispatched with bounded backoff.  Once a
+span exhausts :attr:`SupervisorPolicy.max_retries` — or the pool
+tier's circuit breaker (:mod:`repro.engine.breaker`) trips, cancelling
+further retries at a tier the ladder has given up on — it degrades to
+a serial in-parent run over the task's ``local_context`` — fault hooks
 never fire in the parent, so the degraded pass is fault-free by
 construction.  A deadline overrun hard-kills the busy workers (then
 respawns them so the pool stays warm), joins everything — no orphans —
 and raises :class:`~repro.engine.faults.DeadlineExceeded`.
 
-Results are bit-identical to serial: float64 round-trips through shared
-memory exactly, attached tables reuse the exported MBRs/radii instead of
-recomputing them, and every span is a pure function of the table and
-its candidate slice (asserted in tests/test_pool.py, including under
-injected crash/delay faults and mid-batch respawns).
+Results are bit-identical to serial: a worker reads the parent's fleet
+arrays, builds its tables with the parent's arithmetic, and every span
+is a pure function of the table and its candidate slice (asserted in
+tests/test_pool.py, including under injected crash/delay faults and
+mid-batch respawns).
 
-Cleanup is belt and braces: :meth:`WorkerPool.close` stops the workers
-and unlinks every segment, a ``weakref.finalize`` hook does the same at
-garbage collection / interpreter exit, and both are guarded by an
-owner-pid check so a forked child can never unlink the parent's
-segments.  Segment names carry the :data:`SEGMENT_PREFIX` so tests and
-CI can assert ``/dev/shm`` is clean (:func:`pool_segments`).
+Cleanup: :meth:`WorkerPool.close` stops and joins the workers, and a
+``weakref.finalize`` hook kills and joins any left at garbage
+collection / interpreter exit, guarded by an owner-pid check so a
+forked child never tears down its siblings.
 """
 
 from __future__ import annotations
@@ -81,14 +75,11 @@ import multiprocessing
 import os
 import threading
 import time
-import uuid
 import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as connection_wait
-from multiprocessing.shared_memory import SharedMemory
-from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -101,10 +92,6 @@ from repro.engine.faults import (
     SupervisorReport,
 )
 from repro.engine.trace import record_span
-
-#: every pool segment's name starts with this, so leak checks can scan
-#: ``/dev/shm`` without tripping over unrelated segments
-SEGMENT_PREFIX = "pinls_"
 
 #: spans kept in flight per worker: one running plus one queued in the
 #: pipe, so a worker never idles between spans but a death never loses
@@ -190,59 +177,6 @@ class Supervisor:
             raise DeadlineExceeded(self.deadline_seconds, self.elapsed())
 
 
-def pool_segments() -> list[str]:
-    """Names of live pool shared-memory segments on this machine."""
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():
-        return []
-    return sorted(p.name for p in shm_dir.glob(SEGMENT_PREFIX + "*"))
-
-
-# ----------------------------------------------------------------------
-# Segment packing / attaching
-# ----------------------------------------------------------------------
-def _pack_segment(cols: ColumnarTable) -> tuple[SharedMemory, dict]:
-    """Copy a columnar export into one fresh shared-memory segment.
-
-    Returns the segment and a picklable ``meta`` dict describing each
-    array's dtype/shape/byte offset, enough for :func:`_attach_columnar`
-    to rebuild zero-copy views in another process.  All arrays use
-    8-byte dtypes, so packing them back to back keeps every offset
-    aligned.
-    """
-    arrays = cols.arrays()
-    total = sum(a.nbytes for a in arrays.values())
-    name = f"{SEGMENT_PREFIX}{os.getpid()}_{uuid.uuid4().hex[:10]}"
-    shm = SharedMemory(create=True, size=max(total, 1), name=name)
-    meta: dict = {"arrays": {}, "dead_objects": cols.dead_objects}
-    offset = 0
-    for key, arr in arrays.items():
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf,
-                          offset=offset)
-        view[...] = arr
-        meta["arrays"][key] = (str(arr.dtype), tuple(arr.shape), offset)
-        offset += arr.nbytes
-    return shm, meta
-
-
-def _attach_columnar(shm: SharedMemory, meta: dict) -> ColumnarTable:
-    """Rebuild a :class:`ColumnarTable` of read-only views over ``shm``."""
-    views: dict[str, np.ndarray] = {}
-    for key, (dtype, shape, offset) in meta["arrays"].items():
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf,
-                          offset=offset)
-        view.setflags(write=False)
-        views[key] = view
-    return ColumnarTable(
-        xy=views["xy"],
-        offsets=views["offsets"],
-        object_ids=views["object_ids"],
-        mbrs=views["mbrs"],
-        radii=views.get("radii"),
-        dead_objects=int(meta["dead_objects"]),
-    )
-
-
 # ----------------------------------------------------------------------
 # Span tasks
 # ----------------------------------------------------------------------
@@ -259,7 +193,7 @@ class SpanTask:
     """
 
     task_id: int
-    segment_key: tuple        # which shared segment the worker reads
+    table_key: tuple | None   # the parent's (PF, τ) table key; None: fleet
     kind: str                 # "na" | "pin" | "vo_prune" | "vo" (whole)
     algorithm: str            # registry name to rebuild the solver from
     algorithm_kwargs: dict
@@ -278,7 +212,7 @@ class SpanTask:
     def message(self, injector) -> tuple:
         """The picklable pipe message dispatching this span."""
         return (
-            "span", self.task_id, self.segment_key, self.kind,
+            "span", self.task_id, self.table_key, self.kind,
             self.algorithm, self.algorithm_kwargs, self.pf, self.tau,
             self.cand_slice, self.query_id, self.attempt, injector,
         )
@@ -302,7 +236,7 @@ def _execute_span(kind: str, solver, data, cand_slice, pf, tau):
     t_wall, t_perf = time.time(), time.perf_counter()
     attrs: dict = {}
     if kind in ("na", "pin"):
-        # "pin" reads the attached table, "na" the attached fleet
+        # "pin" reads the table, "na" the fleet export
         payload = solver.compute_influence(
             data, cand_slice, pf, tau, counters
         )
@@ -357,13 +291,14 @@ def _solver_for(cache: dict, algorithm: str, kwargs: dict):
     return solver
 
 
-def _worker_main(slot: int, conn, sibling_conns) -> None:
-    """Long-lived worker loop: attach segments, answer spans, exit clean.
+def _worker_main(slot: int, conn, sibling_conns, fleet: ColumnarTable) -> None:
+    """Long-lived worker loop: answer spans over the inherited fleet.
 
-    Exits via ``os._exit`` so the forked child never runs the parent's
-    atexit hooks (in particular the pool finalizer — doubly guarded,
-    since that also checks the owner pid) and never unlinks segments it
-    merely attached.
+    ``fleet`` is the parent's export, inherited through fork and never
+    copied; each table is built over it on first use and memoised
+    under the parent's table key.  Exits via ``os._exit`` so the
+    forked child never runs the parent's atexit hooks (in particular
+    the pool finalizer, which also checks the owner pid).
     """
     for sibling in sibling_conns:
         # Inherited copies of the other workers' parent-side pipe ends;
@@ -372,8 +307,7 @@ def _worker_main(slot: int, conn, sibling_conns) -> None:
             sibling.close()
         except OSError:
             pass
-    segments: dict[tuple, SharedMemory] = {}
-    data: dict[tuple, Any] = {}
+    tables: dict[tuple, ObjectTable] = {}
     solvers: dict = {}
     try:
         while True:
@@ -381,21 +315,8 @@ def _worker_main(slot: int, conn, sibling_conns) -> None:
                 msg = conn.recv()
             except (EOFError, OSError):
                 break
-            op = msg[0]
-            if op == "stop":
+            if msg[0] == "stop":
                 break
-            if op == "attach":
-                _, key, shm_name, meta, pf, tau = msg
-                shm = SharedMemory(name=shm_name)
-                cols = _attach_columnar(shm, meta)
-                # NA reads a fleet export as it is; a table export is
-                # wrapped, not copied, as its ObjectTable
-                data[key] = (
-                    cols if cols.radii is None
-                    else ObjectTable.from_columnar(cols, pf, tau)
-                )
-                segments[key] = shm
-                continue
             (_, task_id, key, kind, algorithm, kwargs, pf, tau,
              cand_slice, query_id, attempt, injector) = msg
             try:
@@ -403,9 +324,15 @@ def _worker_main(slot: int, conn, sibling_conns) -> None:
                     injector.fire(
                         worker=slot, query=query_id, attempt=attempt
                     )
+                if key is None:
+                    data: Any = fleet
+                else:
+                    data = tables.get(key)
+                    if data is None:
+                        data = tables[key] = ObjectTable(fleet, pf, tau)
                 solver = _solver_for(solvers, algorithm, kwargs)
                 payload, counters, record = _execute_span(
-                    kind, solver, data[key], cand_slice, pf, tau
+                    kind, solver, data, cand_slice, pf, tau
                 )
                 record.attrs["worker"] = slot
                 conn.send(("ok", task_id, payload, counters, record))
@@ -421,11 +348,6 @@ def _worker_main(slot: int, conn, sibling_conns) -> None:
             conn.close()
         except OSError:
             pass
-        for shm in segments.values():
-            try:
-                shm.close()
-            except OSError:
-                pass
         os._exit(0)
 
 
@@ -439,19 +361,17 @@ class _PoolWorker:
     slot: int
     process: multiprocessing.Process
     conn: Any
-    #: segment keys this incarnation has attached (cleared by respawn)
-    attached: set = field(default_factory=set)
     #: task_id -> SpanTask currently dispatched to this worker
     inflight: dict = field(default_factory=dict)
 
 
 def _cleanup_state(state: dict) -> None:
-    """Finalizer body: kill leftover workers, unlink leftover segments.
+    """Finalizer body: kill and join leftover workers.
 
     Runs in the pool-owning process only — forked children inherit the
-    finalizer and must not tear down segments the parent still serves.
-    Idempotent, so an explicit :meth:`WorkerPool.close` followed by the
-    finalizer is harmless.
+    finalizer and must not kill their siblings.  Idempotent, so an
+    explicit :meth:`WorkerPool.close` followed by the finalizer is
+    harmless.
     """
     if os.getpid() != state["pid"]:
         return
@@ -463,48 +383,40 @@ def _cleanup_state(state: dict) -> None:
             proc.join(timeout=1.0)
         except (AssertionError, ValueError):
             pass
-    for shm in state["shms"]:
-        try:
-            shm.close()
-        except Exception:
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-        except Exception:
-            pass
 
 
 class WorkerPool:
-    """N long-lived fork workers sharing columnar fleet state.
+    """N long-lived fork workers over one fleet export.
 
     Created lazily by :class:`~repro.engine.session.QueryEngine` on the
     first pooled dispatch; one pool serves every subsequent query of
-    the session.  ``run_batch`` is the sole entry point: it dispatches
-    span tasks round-robin (at most :data:`MAX_INFLIGHT` per worker),
-    supervises failures per the :class:`SupervisorPolicy`, and returns
-    ``{task_id: (payload, counters, span_record)}``.
+    the session.  ``fleet`` is the engine's export, which every worker
+    (and every respawned one) inherits through fork, so it must not
+    change while the pool lives.  ``run_batch`` is the sole entry
+    point: it dispatches span tasks round-robin (at most
+    :data:`MAX_INFLIGHT` per worker), supervises failures per the
+    :class:`SupervisorPolicy`, and returns ``{task_id: (payload,
+    counters, span_record)}``.
     """
 
-    def __init__(self, size: int, policy: SupervisorPolicy | None = None):
+    def __init__(
+        self,
+        size: int,
+        fleet: ColumnarTable,
+        policy: SupervisorPolicy | None = None,
+    ):
         if size < 2:
             raise ValueError(f"a worker pool needs size >= 2, got {size}")
         if not fork_available():
             raise RuntimeError("WorkerPool requires the fork start method")
         self.size = int(size)
+        self.fleet = fleet
         self.policy = policy or SupervisorPolicy()
         self._mp = multiprocessing.get_context("fork")
-        # Start the resource tracker *before* forking workers so every
-        # worker inherits it: segment registrations then all land in
-        # one tracker (idempotent per name) and the parent's unlink
-        # clears them.  Without this each worker would lazily spawn its
-        # own tracker and warn about "leaked" segments at exit.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-        #: key -> (shm, meta, pf, tau)
-        self._segments: dict[tuple, tuple] = {}
+        #: table key -> the PF first dispatched under it.  A worker
+        #: memoises a table per key for its lifetime, so the PF is held
+        #: to keep an identity-based key from being recycled.
+        self._table_pfs: dict[tuple, Any] = {}
         self._workers: list[_PoolWorker] = []
         self._closed = False
         # One dispatch round at a time.  Concurrent callers (the HTTP
@@ -515,7 +427,7 @@ class WorkerPool:
         self._lock = threading.Lock()
         #: workers killed and replaced over the pool's lifetime
         self.respawns = 0
-        self._state = {"pid": os.getpid(), "procs": [], "shms": []}
+        self._state = {"pid": os.getpid(), "procs": []}
         self._finalizer = weakref.finalize(self, _cleanup_state, self._state)
         for slot in range(self.size):
             self._workers.append(self._spawn(slot))
@@ -526,7 +438,7 @@ class WorkerPool:
         siblings = [w.conn for w in self._workers if w is not None]
         proc = self._mp.Process(
             target=_worker_main,
-            args=(slot, child_conn, siblings),
+            args=(slot, child_conn, siblings, self.fleet),
             daemon=True,
         )
         proc.start()
@@ -534,26 +446,9 @@ class WorkerPool:
         self._state["procs"].append(proc)
         return _PoolWorker(slot, proc, parent_conn)
 
-    def ensure_segment(
-        self,
-        key: tuple,
-        builder: Callable[[], ColumnarTable],
-        pf=None,
-        tau: float = 0.0,
-    ) -> None:
-        """Publish ``builder()`` under ``key`` if not already published."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            if key in self._segments:
-                return
-            shm, meta = _pack_segment(builder())
-            self._segments[key] = (shm, meta, pf, tau)
-            self._state["shms"].append(shm)
-
     def close(self) -> None:
-        """Stop workers, join them, unlink every segment.  Idempotent;
-        waits for a dispatch round in progress to finish first."""
+        """Stop the workers and join them.  Idempotent; waits for a
+        dispatch round in progress to finish first."""
         with self._lock:
             if self._closed:
                 return
@@ -573,23 +468,11 @@ class WorkerPool:
                     worker.process.join()
                 worker.conn.close()
             self._workers = []
-            for shm, _meta, _pf, _tau in self._segments.values():
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass
-            self._segments.clear()
-            self._state["shms"].clear()
             self._finalizer.detach()
 
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def segment_names(self) -> list[str]:
-        """Names of the segments this pool currently owns."""
-        return [shm.name for shm, *_ in self._segments.values()]
 
     def queue_depth(self) -> int:
         """Spans currently dispatched and unanswered, across workers.
@@ -617,6 +500,8 @@ class WorkerPool:
                 task.failures = 0
                 task.retries = 0
                 task.degraded = False
+                if task.table_key is not None:
+                    self._table_pfs.setdefault(task.table_key, task.pf)
             results: dict[int, Any] = {}
             degraded: list[SpanTask] = []
             pending: deque[SpanTask] = deque(tasks)
@@ -655,12 +540,7 @@ class WorkerPool:
             task = pending.popleft()
             target.inflight[task.task_id] = task
             supervisor.report.spans_dispatched += 1
-            key = task.segment_key
             try:
-                if key not in target.attached:
-                    shm, meta, pf, tau = self._segments[key]
-                    target.conn.send(("attach", key, shm.name, meta, pf, tau))
-                    target.attached.add(key)
                 target.conn.send(task.message(supervisor.injector))
             except OSError:
                 # The worker died since its last reply (between rounds,

@@ -73,9 +73,8 @@ Robustness contract
 * **graceful drain** — SIGTERM (or :meth:`HTTPFrontEnd.drain`) stops
   accepting, lets in-flight requests finish within the drain budget
   (stragglers are cancelled), shuts the executor down, closes the
-  engine (JSONL metrics/traces flushed, every /dev/shm segment
-  released), and reports per-tenant shed lines — ``run_server``
-  then exits 0.
+  engine (JSONL metrics/traces flushed, pool workers joined), and
+  reports per-tenant shed lines — ``run_server`` then exits 0.
 
 One request per connection (the server answers ``Connection: close``);
 at benchmark rates connection setup is noise and the lifecycle stays
@@ -119,12 +118,16 @@ DEFAULT_TENANT = "default"
 DEFAULT_MAX_BODY_BYTES = 1 << 20
 
 #: seconds a client may take to deliver its request (line + headers +
-#: body) before the front end answers 408 and closes the connection
-DEFAULT_READ_TIMEOUT = 10.0
+#: body) before the front end answers 408 and closes the connection;
+#: read per request
+READ_TIMEOUT = 10.0
 
 #: seconds a client may stall the response write before the connection
 #: is dropped (the handler slot is freed either way)
-DEFAULT_WRITE_TIMEOUT = 10.0
+WRITE_TIMEOUT = 10.0
+
+#: threads of the executor that runs engine calls off the event loop
+ENGINE_THREADS = 4
 
 #: seconds a drain waits for in-flight requests before cancelling them
 DEFAULT_DRAIN_SECONDS = 5.0
@@ -281,8 +284,8 @@ class HTTPFrontEnd:
     The front end owns the listener, the per-tenant admission state,
     and a bounded executor; it does **not** own the engine's
     construction, but :meth:`drain` closes the engine (flushing JSONL
-    metrics/traces and unlinking /dev/shm segments) because a drained
-    front end is the engine's end of life in a serving deployment.
+    metrics/traces and joining pool workers) because a drained front
+    end is the engine's end of life in a serving deployment.
     """
 
     def __init__(
@@ -293,26 +296,13 @@ class HTTPFrontEnd:
         port: int = 0,
         tenants: TenantAdmission | None = None,
         subscriptions: SubscriptionEngine | None = None,
-        engine_threads: int = 4,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        read_timeout: float = DEFAULT_READ_TIMEOUT,
-        write_timeout: float = DEFAULT_WRITE_TIMEOUT,
         drain_seconds: float = DEFAULT_DRAIN_SECONDS,
     ):
-        if engine_threads < 1:
-            raise ValueError(
-                f"engine_threads must be >= 1, got {engine_threads}"
-            )
         if max_body_bytes < 1:
             raise ValueError(
                 f"max_body_bytes must be >= 1, got {max_body_bytes}"
             )
-        for name, value in (
-            ("read_timeout", read_timeout),
-            ("write_timeout", write_timeout),
-        ):
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
         if drain_seconds < 0:
             raise ValueError(
                 f"drain_seconds must be >= 0, got {drain_seconds}"
@@ -329,11 +319,9 @@ class HTTPFrontEnd:
             metrics_registry=engine.metrics,
         )
         self.max_body_bytes = int(max_body_bytes)
-        self.read_timeout = float(read_timeout)
-        self.write_timeout = float(write_timeout)
         self.drain_seconds = float(drain_seconds)
         self._executor = ThreadPoolExecutor(
-            max_workers=int(engine_threads),
+            max_workers=ENGINE_THREADS,
             thread_name_prefix="pinls-http",
         )
         self._server: asyncio.AbstractServer | None = None
@@ -439,8 +427,8 @@ class HTTPFrontEnd:
            cancel the stragglers,
         4. shut the executor down (queued work cancelled),
         5. close the engine — JSONL metrics and traces are flushed by
-           their append-per-event writers, pool workers are stopped
-           and joined, and every /dev/shm segment is unlinked.
+           their append-per-event writers, and pool workers are
+           stopped and joined.
 
         Returns a summary dict (``tenants`` holds per-tenant
         offered/admitted/shed counts) and is idempotent — a second
@@ -543,13 +531,12 @@ class HTTPFrontEnd:
         """Parse one HTTP/1.1 request under the read timeout."""
         try:
             head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), self.read_timeout
+                reader.readuntil(b"\r\n\r\n"), READ_TIMEOUT
             )
         except asyncio.TimeoutError:
             raise ApiError(
                 408, "read-timeout",
-                f"request head not received within "
-                f"{self.read_timeout:.1f}s",
+                f"request head not received within {READ_TIMEOUT:.1f}s",
             )
         except asyncio.LimitOverrunError:
             raise ApiError(
@@ -610,13 +597,13 @@ class HTTPFrontEnd:
             if length:
                 try:
                     body = await asyncio.wait_for(
-                        reader.readexactly(length), self.read_timeout
+                        reader.readexactly(length), READ_TIMEOUT
                     )
                 except asyncio.TimeoutError:
                     raise ApiError(
                         408, "read-timeout",
                         f"request body not received within "
-                        f"{self.read_timeout:.1f}s",
+                        f"{READ_TIMEOUT:.1f}s",
                     )
         return method, path, headers, body
 
@@ -638,7 +625,7 @@ class HTTPFrontEnd:
         ).encode("latin-1")
         try:
             writer.write(head + body)
-            await asyncio.wait_for(writer.drain(), self.write_timeout)
+            await asyncio.wait_for(writer.drain(), WRITE_TIMEOUT)
         except (asyncio.TimeoutError, ConnectionError, OSError):
             # a stalled or vanished client cannot hold the handler:
             # drop the connection, the slot is freed by the caller
@@ -1123,11 +1110,7 @@ def run_server(
     host: str = "127.0.0.1",
     port: int = 0,
     tenants: TenantAdmission | None = None,
-    engine_threads: int = 4,
     drain_seconds: float = DEFAULT_DRAIN_SECONDS,
-    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-    read_timeout: float = DEFAULT_READ_TIMEOUT,
-    write_timeout: float = DEFAULT_WRITE_TIMEOUT,
     out=None,
 ) -> int:
     """Blocking entry point: serve until SIGTERM/SIGINT, drain, exit 0.
@@ -1143,11 +1126,7 @@ def run_server(
         host=host,
         port=port,
         tenants=tenants,
-        engine_threads=engine_threads,
         drain_seconds=drain_seconds,
-        max_body_bytes=max_body_bytes,
-        read_timeout=read_timeout,
-        write_timeout=write_timeout,
     )
 
     async def _serve() -> None:

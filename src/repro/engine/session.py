@@ -5,9 +5,11 @@ fleet of moving objects Ω.  ``select_location`` rebuilds the whole
 ``A2D`` object table — per-object MBRs plus the ``minMaxRadius`` memo —
 on every call; the engine ingests Ω once and amortises that work:
 
-* **object-table cache** — one :class:`~repro.core.object_table.ObjectTable`
-  (the live objects' columnar export with their ``minMaxRadius``) is
-  memoised per ``(PF, τ)`` and reused by every query with that pair,
+* **object-table cache** — the fleet's columnar export
+  (:attr:`QueryEngine.fleet`) is built once at ingest, and one
+  :class:`~repro.core.object_table.ObjectTable` (a radius column over
+  it: the live rows and their ``minMaxRadius``) is memoised per
+  ``(PF, τ)`` and reused by every query with that pair,
 * **candidate cache** — candidate coordinate arrays, and the candidate
   R-tree when ``use_rtree=True``, are keyed by the coordinates and
   reused across queries sharing a candidate set,
@@ -19,8 +21,9 @@ on every call; the engine ingests Ω once and amortises that work:
   so pruned fractions stay meaningful, while the ``*_seconds`` fields
   keep reporting the time actually spent,
 * **process parallelism** — ``pool=True, workers=N`` serves the
-  candidate axis from N persistent shared-memory workers (see
-  :mod:`repro.engine.pool`), bit-identical to serial execution; a
+  candidate axis from N persistent fork workers that inherit the
+  fleet export (see :mod:`repro.engine.pool`), bit-identical to
+  serial execution; a
   round with two or more cold PIN-VO requests sends each one whole to
   a worker instead,
 * **observability** — hit/miss counters (:class:`EngineStats`), a
@@ -63,11 +66,7 @@ import numpy as np
 
 from repro.core.base import candidates_to_array
 from repro.core.naive import NaiveAlgorithm
-from repro.core.object_table import (
-    ColumnarTable,
-    ObjectTable,
-    fleet_to_columnar,
-)
+from repro.core.object_table import ObjectTable, export_fleet
 from repro.core.pinocchio import Pinocchio
 from repro.core.pinocchio_vo import PinocchioVO
 from repro.core.result import Instrumentation, LSResult, full_table_result
@@ -333,23 +332,18 @@ class QueryEngine:
         self.objects = list(objects)
         if not self.objects:
             raise ValueError("need at least one moving object")
-        # Ingest: force every object's lazy MBR memo now so no query
-        # (and no table build) pays for it later.  Position arrays
-        # are already materialised, read-only, on the objects.
-        for obj in self.objects:
-            _ = obj.mbr
+        # Ingest: export the fleet once.  Every (PF, τ) table is a
+        # radius column over this export, NA reads it as it is, and
+        # pool workers inherit it through fork; it never changes.
+        self.fleet = export_fleet(self.objects)
         self.ingest_seconds = time.perf_counter() - started
         self.workers = int(workers)
-        #: serve candidate spans from the persistent shared-memory
-        #: worker pool (:mod:`repro.engine.pool`); a pool needs two
-        #: workers and the fork start method, else queries run serially
+        #: serve candidate spans from the persistent fork worker pool
+        #: (:mod:`repro.engine.pool`); a pool needs two workers and the
+        #: fork start method, else queries run serially
         self.use_pool = bool(pool) and self.workers >= 2 and fork_available()
         self._pool: WorkerPool | None = None
         self._pool_lock = threading.Lock()
-        #: the fleet's columnar export, built on the first pooled NA
-        #: query: published as NA's segment and read by its degraded
-        #: local spans
-        self._fleet: ColumnarTable | None = None
         #: fault hooks handed to every worker dispatch (testing/chaos
         #: drills only — leave ``None`` in production)
         self.fault_injector = fault_injector
@@ -427,7 +421,7 @@ class QueryEngine:
         table = self._tables.get(key)
         if table is None:
             self.stats.table_misses += 1
-            table = ObjectTable(self.objects, pf, tau)
+            table = ObjectTable(self.fleet, pf, tau)
             self._tables[key] = table
         else:
             self.stats.table_hits += 1
@@ -743,27 +737,25 @@ class QueryEngine:
     def _pool_for(self) -> WorkerPool:
         """The session's persistent pool, started on first pooled query.
 
-        Locked: engine threads racing here would start two pools, one
-        forking its workers while the other holds multiprocessing's
-        resource-tracker lock — a worker forked then deadlocks on its
-        first shared-memory attach.
+        Locked: engine threads racing here would otherwise start two
+        pools and leak the loser's workers.
         """
         with self._pool_lock:
             if self._pool is None or self._pool.closed:
                 self._pool = WorkerPool(
-                    self.workers, policy=self.supervisor_policy
+                    self.workers, self.fleet, policy=self.supervisor_policy
                 )
             return self._pool
 
     def close(self) -> None:
-        """Shut down the session: workers stopped and joined, every
-        shared-memory segment unlinked, and the engine marked closed —
-        ``query``/``query_batch`` raise :class:`RuntimeError` afterwards
-        (a closed engine silently serving would hide lifecycle bugs).
-        Idempotent: closing twice is a no-op.  A ``weakref.finalize``
-        hook inside the pool performs the same segment teardown at
-        garbage collection / interpreter exit, so segments never
-        outlive the process even without an explicit ``close``.
+        """Shut down the session: workers stopped and joined, and the
+        engine marked closed — ``query``/``query_batch`` raise
+        :class:`RuntimeError` afterwards (a closed engine silently
+        serving would hide lifecycle bugs).  Idempotent: closing twice
+        is a no-op.  A ``weakref.finalize`` hook inside the pool kills
+        and joins the workers at garbage collection / interpreter exit,
+        so none outlives the process even without an explicit
+        ``close``.
         """
         if self._pool is not None:
             self._pool.close()
@@ -799,31 +791,24 @@ class QueryEngine:
         return True
 
     def _span_tasks(self, plan: _Plan, start_id: int) -> list:
-        """Publish the segment ``plan.kind`` reads and build the pool
-        tasks for one request: one per candidate span, or one holding
-        every candidate for a whole PIN-VO query.  One table segment
-        per ``(PF, τ)`` serves PIN and PIN-VO tasks alike; NA reads the
-        single radius-free fleet segment."""
-        pool = self._pool_for()
+        """Start the pool if need be and build the pool tasks for one
+        request: one per candidate span, or one holding every candidate
+        for a whole PIN-VO query.  PIN and PIN-VO tasks carry the
+        table's cache key, under which a worker builds and keeps its
+        own copy of the table over the inherited fleet; NA tasks carry
+        ``None`` and read the fleet."""
+        self._pool_for()
         kind = plan.kind
         m = plan.cand_xy.shape[0]
         if kind == "na":
-            key: tuple = ("fleet",)
-            if self._fleet is None:
-                self._fleet = fleet_to_columnar(self.objects)
-            local: Any = self._fleet
-            pool.ensure_segment(key, lambda: local)
+            key, local = None, self.fleet
         else:
-            key = ("table", _pf_key(plan.pf), plan.tau)
-            pool.ensure_segment(
-                key, plan.table.to_columnar, plan.pf, plan.tau
-            )
-            local = plan.table
+            key, local = (_pf_key(plan.pf), plan.tau), plan.table
         req = plan.request
         return [
             SpanTask(
                 task_id=start_id + n,
-                segment_key=key,
+                table_key=key,
                 kind=kind,
                 algorithm=req.algorithm,
                 algorithm_kwargs=dict(req.algorithm_kwargs),

@@ -66,14 +66,13 @@ class NetworkPrimeLS(LocationSelector):
         m = len(candidates)
         counters.pairs_total = table.live_count * m
         log_threshold = influence_threshold_log(tau)
-        cols = table.to_columnar()
         mbrs, radii = table.mbr_radius_arrays()
 
         # Snap everything to network nodes once.
         object_nodes = [
             [
                 self.network.snap(float(x), float(y))
-                for x, y in cols.object_positions(i)
+                for x, y in table.positions(i)
             ]
             for i in range(table.live_count)
         ]

@@ -35,10 +35,10 @@ def render_scene(
     """
     if not objects:
         raise ValueError("need at least one object to render")
-    cols = ObjectTable(objects, pf, tau).to_columnar()
+    table = ObjectTable(objects, pf, tau)
     rows = [
         (MBR(*mbr), radius)
-        for mbr, radius in zip(cols.mbrs.tolist(), cols.radii.tolist())
+        for mbr, radius in zip(table.mbrs.tolist(), table.radii.tolist())
     ]
 
     # Viewport: bound everything we are going to draw.
@@ -65,7 +65,7 @@ def render_scene(
 
     for k, (mbr, radius) in enumerate(rows):
         color = PALETTE[k % len(PALETTE)]
-        for x, y in cols.object_positions(k):
+        for x, y in table.positions(k):
             canvas.circle(float(x), float(y), 2.5, fill=color, opacity=0.8)
         canvas.rect(*mbr.as_tuple(), stroke=color, stroke_width=1.0)
         if show_regions:

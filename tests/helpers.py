@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from repro.core.influence import distances, log1m_safe
@@ -159,3 +161,11 @@ def batch_validate_objects(
             counters.positions_evaluated += int(tail_lengths.sum())
         influenced[idx] = (s_head[idx] + s_tail) <= log_threshold
     return influenced
+
+
+def shm_entries() -> set[str]:
+    """Names under ``/dev/shm``.  The engine and its pool create none,
+    so a test compares a snapshot taken before its pooled work with
+    one taken during or after it."""
+    shm = Path("/dev/shm")
+    return {p.name for p in shm.iterdir()} if shm.is_dir() else set()

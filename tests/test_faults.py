@@ -33,12 +33,11 @@ from repro.engine import (
     FaultSpec,
     QueryRequest,
     SupervisorPolicy,
-    pool_segments,
 )
 from repro.engine.pool import fork_available
 from repro.prob import PowerLawPF
 
-from .helpers import make_candidates, make_objects
+from .helpers import make_candidates, make_objects, shm_entries
 from .test_engine import assert_same_result
 
 pytestmark = pytest.mark.skipif(
@@ -246,6 +245,7 @@ class TestDelayAndDeadline:
                 batch, deadline_seconds=0.5
             )),
         ):
+            before = shm_entries()
             path = tmp_path / f"{name}.jsonl"
             with make_engine(
                 world,
@@ -263,7 +263,7 @@ class TestDelayAndDeadline:
             assert excinfo.value.deadline_seconds == 0.5
             assert engine.stats.deadline_exceeded == requests
             assert_no_orphans()
-            assert pool_segments() == []
+            assert shm_entries() == before
             # Each failed request is still a JSONL record.
             records = [
                 json.loads(line) for line in path.read_text().splitlines()

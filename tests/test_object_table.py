@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import QueryEngine
 from repro.core import minmax_radius as minmax_radius_module
-from repro.core.object_table import ObjectTable, fleet_to_columnar
+from repro.core.object_table import ObjectTable, export_fleet
 from repro.core.minmax_radius import min_max_radius
 from repro.model import MovingObject
 from repro.prob import PowerLawPF
@@ -13,18 +14,19 @@ from tests.helpers import DEAD_ROWS_PF, dead_row_fleet, make_objects
 
 
 def assert_rows_are(table, objects, pf, tau):
-    """Row ``i`` of the table's export is ``objects[i]``: id, MBR row,
-    radius and positions, with offsets covering exactly its positions."""
-    cols = table.to_columnar()
+    """Table row ``i`` is ``objects[i]``: id, MBR row, radius and
+    positions, read through its fleet row."""
+    fleet = table.fleet
     mbrs, radii = table.mbr_radius_arrays()
-    assert table.live_count == cols.count == len(objects)
-    assert cols.offsets[0] == 0
+    assert table.live_count == table.rows.size == len(objects)
+    assert np.all(np.diff(table.rows) > 0), "fleet rows ascend"
     for i, obj in enumerate(objects):
-        assert cols.object_ids[i] == obj.object_id
+        row = table.rows[i]
+        assert fleet.object_ids[row] == obj.object_id
         assert tuple(mbrs[i]) == obj.mbr.as_tuple()
         assert radii[i] == min_max_radius(pf, tau, obj.n_positions)
-        assert cols.offsets[i + 1] - cols.offsets[i] == obj.n_positions
-        np.testing.assert_array_equal(cols.object_positions(i), obj.positions)
+        assert fleet.offsets[row + 1] - fleet.offsets[row] == obj.n_positions
+        np.testing.assert_array_equal(table.positions(i), obj.positions)
 
 
 class TestObjectTable:
@@ -54,16 +56,20 @@ class TestObjectTable:
     def test_dead_objects_excluded(self, dead_at):
         fleet, live = dead_row_fleet(dead_at)
         table = ObjectTable(fleet, DEAD_ROWS_PF, 0.7)
-        assert table.dead_objects == table.to_columnar().dead_objects == 2
+        assert table.dead_objects == 2
         assert_rows_are(table, live, DEAD_ROWS_PF, 0.7)
-        # The position block holds the live objects' positions only.
-        assert table.to_columnar().offsets.tolist() == [0, 30, 34, 51]
+        assert table.rows.tolist() == {
+            "first": [2, 3, 4], "middle": [0, 3, 4], "last": [0, 1, 2],
+        }[dead_at]
+        # The fleet export keeps every object; the table only skips rows.
+        assert table.fleet.count == 5
 
     def test_iteration_and_len(self, pf, rng):
         objects = make_objects(rng, 5)
         table = ObjectTable(objects, pf, 0.5)
         assert len(table) == 5
-        assert table.to_columnar().object_ids.tolist() == [0, 1, 2, 3, 4]
+        ids = table.fleet.object_ids[table.rows]
+        assert ids.tolist() == [0, 1, 2, 3, 4]
 
 
 class TestPowerLawNeverDead:
@@ -77,11 +83,28 @@ class TestPowerLawNeverDead:
 
 
 class TestColumnarCaching:
-    """The table's one columnar export and the wrap of an export."""
+    """The fleet's one columnar export and the radius columns over it."""
 
-    def test_to_columnar_is_memoised(self, pf, rng):
-        table = ObjectTable(make_objects(rng, 8), pf, 0.7)
-        assert table.to_columnar() is table.to_columnar()
+    def test_tables_share_one_fleet_export(self, rng):
+        objects = make_objects(rng, 12, n_range=(1, 9))
+        engine = QueryEngine(objects)
+        tables = [
+            engine.table_for(pf, tau)
+            for pf in (PowerLawPF(), DEAD_ROWS_PF)
+            for tau in (0.5, 0.7)
+        ]
+        for table in tables:
+            assert table.fleet is engine.fleet
+            # A table holds its rows, radii and MBRs, and no positions.
+            arrays = {
+                name for name, value in vars(table).items()
+                if isinstance(value, np.ndarray)
+            }
+            assert arrays == {"rows", "radii", "mbrs"}
+            assert np.shares_memory(table.positions(0), engine.fleet.xy)
+        # The export covers the whole fleet, dead rows included.
+        assert engine.fleet.count == len(objects)
+        assert engine.table_for(PowerLawPF(), 0.5) is tables[0]
 
     def test_mbr_radius_arrays_match_entries(self, pf, rng):
         objects = make_objects(rng, 12)
@@ -92,62 +115,32 @@ class TestColumnarCaching:
         for i, obj in enumerate(objects):
             assert tuple(mbrs[i]) == obj.mbr.as_tuple()
             assert radii[i] == min_max_radius(pf, 0.7, obj.n_positions)
-        # The same arrays every call: rows of the one export.
+        # The same arrays every call: the table's own columns.
         assert table.mbr_radius_arrays()[0] is mbrs
-        cols = table.to_columnar()
-        assert cols.mbrs is mbrs and cols.radii is radii
+        assert table.mbrs is mbrs and table.radii is radii
 
     def test_positions_offsets_cover_entries(self, pf, rng):
         objects = make_objects(rng, 9, n_range=(1, 7))
         table = ObjectTable(objects, pf, 0.7)
-        xy, offsets = table.positions_offsets()
+        xy, offsets = table.fleet.xy, table.fleet.offsets
         # One C-contiguous block whose rows are the x and y columns.
         assert xy.dtype == np.float64
         assert offsets.dtype == np.int64
         assert xy.shape == (2, offsets[-1])
         assert xy.flags.c_contiguous
-        cols = table.to_columnar()
         for i, obj in enumerate(objects):
             np.testing.assert_array_equal(
                 xy[:, offsets[i] : offsets[i + 1]].T, obj.positions
             )
-            view = cols.object_positions(i)
+            view = table.positions(i)
             np.testing.assert_array_equal(view, obj.positions)
             assert np.shares_memory(view, xy)
 
-    def test_from_columnar_defers_entry_materialisation(self, pf, rng):
-        objects = make_objects(rng, 10, n_range=(1, 6))
-        table = ObjectTable(objects, pf, 0.7)
-        rebuilt = ObjectTable.from_columnar(table.to_columnar(), pf, 0.7)
-        # A wrap, not a copy: every accessor reads the same export.
-        assert rebuilt.to_columnar() is table.to_columnar()
-        assert rebuilt.live_count == table.live_count
-        assert len(rebuilt) == len(table)
-        assert rebuilt.dead_objects == table.dead_objects
-        assert rebuilt.mbr_radius_arrays()[0] is table.mbr_radius_arrays()[0]
-        assert rebuilt.positions_offsets()[0] is table.positions_offsets()[0]
-        assert_rows_are(rebuilt, objects, pf, 0.7)
-
-    def test_from_columnar_radius_cache_is_lazy(self, pf, rng, monkeypatch):
-        table = ObjectTable(make_objects(rng, 4), pf, 0.7)
-
-        def forbidden(*args):
-            raise AssertionError("from_columnar recomputed a radius")
-
-        monkeypatch.setattr(minmax_radius_module, "min_max_radius", forbidden)
-        rebuilt = ObjectTable.from_columnar(table.to_columnar(), pf, 0.7)
-        assert rebuilt.mbr_radius_arrays()[1] is table.mbr_radius_arrays()[1]
-
-    def test_from_columnar_rejects_a_fleet_export(self, pf, rng):
-        fleet = fleet_to_columnar(make_objects(rng, 3))
-        with pytest.raises(ValueError, match="fleet export"):
-            ObjectTable.from_columnar(fleet, pf, 0.7)
-
     def test_empty_table_columnar_roundtrip(self, pf):
-        table = ObjectTable([], pf, 0.7)
+        fleet = export_fleet([])
+        assert fleet.xy.shape == (2, 0) and fleet.offsets.tolist() == [0]
+        table = ObjectTable(fleet, pf, 0.7)
         mbrs, radii = table.mbr_radius_arrays()
         assert mbrs.shape == (0, 4) and radii.shape == (0,)
-        rebuilt = ObjectTable.from_columnar(table.to_columnar(), pf, 0.7)
-        assert rebuilt.live_count == 0
-        xy, offsets = rebuilt.positions_offsets()
-        assert xy.shape == (2, 0) and offsets.tolist() == [0]
+        assert table.live_count == 0 and table.dead_objects == 0
+        assert table.fleet is fleet

@@ -47,11 +47,10 @@ from repro.engine import (
     TenantAdmission,
     TenantBudget,
     fork_available,
-    pool_segments,
 )
 from repro.prob import PowerLawPF
 
-from .helpers import make_candidates, make_objects
+from .helpers import make_candidates, make_objects, shm_entries
 from .test_engine import assert_same_result
 
 fork_only = pytest.mark.skipif(
@@ -476,13 +475,15 @@ class TestCloseLifecycle:
     def test_exit_tears_down_pool_when_body_raises(
         self, world, candidates, pf
     ):
+        before = shm_entries()
         with pytest.raises(RuntimeError, match="boom"):
             with QueryEngine(world, workers=2, pool=True) as engine:
                 engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-                assert pool_segments(), "pooled query published a segment"
+                assert engine._pool is not None, "the query started a pool"
                 raise RuntimeError("boom")
         assert engine.closed
-        assert pool_segments() == []
+        assert engine._pool is None
+        assert shm_entries() == before
 
 
 # ---------------------------------------------------------------------------

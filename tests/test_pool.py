@@ -1,4 +1,4 @@
-"""The persistent shared-memory worker pool: identity, lifecycle, faults.
+"""The persistent fork worker pool: identity, lifecycle, faults.
 
 The claims under test, matching ``docs/architecture.md``'s pool
 semantics:
@@ -14,14 +14,18 @@ semantics:
   crash on every worker trips the breaker and degrades to serial, and
   under a batch larger than the admission budget the overflow is shed
   as typed outcomes while the admitted answers stay exact,
-* shared-memory segments never leak: ``close()`` unlinks every
-  ``/dev/shm`` entry the pool created, and an engine abandoned without
-  ``close()`` is cleaned up at interpreter exit,
-* no orphan worker processes survive any of the above.
+* workers read the engine's fleet export through fork and build each
+  ``(PF, τ)`` table over it exactly as the parent does, so a pooled
+  round of any task kind creates no ``/dev/shm`` entry,
+* no orphan worker processes survive any of the above: ``close()``
+  joins the workers, and an engine abandoned without ``close()`` is
+  cleaned up at interpreter exit.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -41,7 +45,6 @@ from repro.engine import (
     FaultSpec,
     QueryRequest,
     QueryShed,
-    pool_segments,
 )
 from repro.engine.pool import fork_available
 from repro.prob import PowerLawPF
@@ -51,6 +54,7 @@ from .helpers import (
     dead_row_fleet,
     make_candidates,
     make_objects,
+    shm_entries,
 )
 from .test_engine import ALGORITHMS, assert_same_result
 from .test_faults import assert_no_orphans, fast_policy
@@ -230,6 +234,7 @@ class TestSupervision:
         # breaker trips mid-round and the rest of the round degrades
         # to the parent, so the engine ends on the serial tier.
         faults = [FaultSpec(kind="crash", worker=worker, times=1)]
+        before = shm_entries()
         with pooled_engine(world, faults=faults) as engine:
             got = engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
             assert engine.stats.pool_respawns >= 1
@@ -241,7 +246,7 @@ class TestSupervision:
             world, candidates, pf=pf, tau=0.7, algorithm="PIN"
         )
         assert_same_result(got, want, counters=True)
-        assert pool_segments() == []
+        assert shm_entries() == before
         assert_no_orphans()
 
     def test_crash_under_batch_overload_sheds_and_degrades(self, world, pf):
@@ -252,6 +257,7 @@ class TestSupervision:
         # serial; the four served answers stay exact.
         rng = np.random.default_rng(11)
         cand_sets = [make_candidates(rng, 12) for _ in range(8)]
+        before = shm_entries()
         with pooled_engine(
             world,
             faults=[FaultSpec(kind="crash")],
@@ -272,18 +278,18 @@ class TestSupervision:
                 world, cands, pf=pf, tau=0.7, algorithm="PIN-VO"
             )
             assert_same_result(got, want, counters=True)
-        assert pool_segments() == []
+        assert shm_entries() == before
         assert_no_orphans()
 
 
 class TestWorkerRebuild:
-    """The worker-side table is the attached export, wrapped.
+    """The worker-side table is a radius column over the inherited fleet.
 
-    Workers attach a shared segment and serve columnar spans straight
-    off its arrays.  These tests run the exact span code path on a
-    table rebuilt from a columnar export and assert the unchanged
-    answers, check the shared-memory round trip array by array, then
-    check a real pooled engine still leaves ``/dev/shm`` spotless.
+    A worker builds ``ObjectTable(fleet, pf, τ)`` from the engine's
+    fleet export and the PF it unpickled from the span message.  These
+    tests run the exact span code path on such a table and assert the
+    unchanged answers, compare its columns with the parent's table, and
+    check that a real pooled engine creates nothing in ``/dev/shm``.
     """
 
     def test_columnar_spans_never_materialise_entries(self, world, candidates, pf):
@@ -295,7 +301,7 @@ class TestWorkerRebuild:
 
         cand_xy = candidates_to_array(candidates)
         table = ObjectTable(world, pf, 0.7)
-        rebuilt = ObjectTable.from_columnar(table.to_columnar(), pf, 0.7)
+        rebuilt = ObjectTable(table.fleet, pickle.loads(pickle.dumps(pf)), 0.7)
 
         # "pin" span: full influence table on the rebuilt table.
         got_counters, want_counters = Instrumentation(), Instrumentation()
@@ -320,57 +326,118 @@ class TestWorkerRebuild:
         for g, w in zip(got_vs, want_vs):
             np.testing.assert_array_equal(g, w)
 
-    def test_segment_round_trip_keeps_the_column_block(self, world, pf):
+    @pytest.mark.parametrize("dead_at", ["first", "middle", "last"])
+    def test_worker_table_equals_the_parent_table(self, dead_at):
         from repro.core.object_table import ObjectTable
-        from repro.engine.pool import _attach_columnar, _pack_segment
 
-        # ...and a fleet whose dead rows sit between live ones
-        middle_dead, _ = dead_row_fleet("middle")
-        dead_rows = ObjectTable(middle_dead, DEAD_ROWS_PF, 0.7).to_columnar()
-        assert dead_rows.dead_objects == 2
-        for cols in (ObjectTable(world, pf, 0.7).to_columnar(), dead_rows):
-            shm, meta = _pack_segment(cols)
-            try:
-                attached = _attach_columnar(shm, meta)
-                want_arrays, got_arrays = cols.arrays(), attached.arrays()
-                assert got_arrays.keys() == want_arrays.keys()
-                for name, want in want_arrays.items():
-                    got = got_arrays[name]
-                    assert not got.flags.writeable, name
-                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                    assert got.tobytes() == want.tobytes(), name
-                assert attached.xy.shape == (2, int(cols.offsets[-1]))
-                assert attached.xy.flags.c_contiguous
-                x, y = attached.xy
-                assert x.flags.c_contiguous and y.flags.c_contiguous
-                assert attached.dead_objects == cols.dead_objects
-                del attached, got_arrays, got, x, y
-                shm.close()
-            finally:
-                shm.unlink()
+        fleet, _live = dead_row_fleet(dead_at)
+        engine = QueryEngine(fleet)
+        parent = engine.table_for(DEAD_ROWS_PF, 0.7)
+        worker_pf = pickle.loads(pickle.dumps(DEAD_ROWS_PF))
+        worker = ObjectTable(engine.fleet, worker_pf, 0.7)
+        assert worker.fleet is parent.fleet is engine.fleet
+        for name in ("rows", "radii", "mbrs"):
+            got, want = getattr(worker, name), getattr(parent, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        assert worker.dead_objects == parent.dead_objects == 2
 
     def test_columnar_spans_keep_shm_clean(self, world, candidates, pf):
+        before = shm_entries()
         with pooled_engine(world) as engine:
             for algorithm in ("PIN", "PIN-VO"):
                 engine.query(
                     candidates, pf=pf, tau=0.7, algorithm=algorithm
                 )
-            assert pool_segments(), "queries must publish segments"
-        assert pool_segments() == []
+            assert engine.stats.spans_dispatched > 0
+            assert shm_entries() == before
+        assert shm_entries() == before
         assert_no_orphans()
 
 
+#: one pooled round of every task kind: NA and PIN column spans, a lone
+#: cold PIN-VO request's "vo_prune" spans, then two cold PIN-VO
+#: requests that each go whole to a worker ("vo")
+EVERY_KIND_ROUNDS = textwrap.dedent(
+    """
+    import os
+    import numpy as np
+    from repro import QueryEngine
+    from repro.engine import QueryRequest
+    from repro.model import Candidate, MovingObject
+    from repro.prob import PowerLawPF
+
+    def every_kind_rounds(engine):
+        rng = np.random.default_rng(3)
+        sets = [
+            [Candidate(j, float(x), float(y))
+             for j, (x, y) in enumerate(rng.uniform(0, 20, size=(8, 2)))]
+            for _ in range(3)
+        ]
+        pf = PowerLawPF()
+        for algorithm in ("NA", "PIN", "PIN-VO"):
+            engine.query(sets[0], pf=pf, tau=0.7, algorithm=algorithm)
+        engine.query_batch([QueryRequest(c, pf, 0.7) for c in sets[1:]])
+        return [w.process.pid for w in engine._pool._workers]
+
+    rng = np.random.default_rng(3)
+    objects = [
+        MovingObject(i, rng.uniform(0, 20, size=(4, 2))) for i in range(10)
+    ]
+    """
+)
+
+
 class TestLifecycle:
-    """Segments and workers are released on close() and at exit."""
+    """Pooled rounds create no ``/dev/shm`` entry, and the workers are
+    released on close() and at exit."""
+
+    @pytest.mark.parametrize("ending", ["close", "exit"])
+    def test_every_task_kind_creates_no_shm_entry(self, tmp_path, ending):
+        # The whole round trip, in a fresh interpreter: rounds of every
+        # task kind, then close() or an exit WITHOUT close().
+        script = EVERY_KIND_ROUNDS + textwrap.dedent(
+            f"""
+            from pathlib import Path
+            before = set(os.listdir("/dev/shm"))
+            engine = QueryEngine(objects, workers=2, pool=True)
+            pids = every_kind_rounds(engine)
+            assert engine.stats.spans_dispatched >= 8
+            assert set(os.listdir("/dev/shm")) == before, "a round made one"
+            Path({str(tmp_path / "pids")!r}).write_text(
+                " ".join(map(str, pids))
+            )
+            if {ending!r} == "close":
+                engine.close()
+                import multiprocessing
+                assert multiprocessing.active_children() == []
+            """
+        )
+        before = shm_entries()
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert shm_entries() == before
+        for pid in map(int, (tmp_path / "pids").read_text().split()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_close_unlinks_segments_and_joins_workers(
         self, world, candidates, pf
     ):
+        # Nothing to unlink any more: close() joins the workers, and
+        # /dev/shm is as it was.
+        before = shm_entries()
         engine = pooled_engine(world)
         engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert pool_segments(), "a pooled query must publish a segment"
         engine.close()
-        assert pool_segments() == []
+        assert shm_entries() == before
         assert_no_orphans()
         # close() is idempotent, and a closed engine refuses queries
         # instead of silently serving them (see tests/test_overload.py
@@ -379,17 +446,17 @@ class TestLifecycle:
         assert engine.closed
         with pytest.raises(RuntimeError, match="closed"):
             engine.query(candidates, pf=pf, tau=0.7, algorithm="PIN")
-        assert pool_segments() == []
+        assert shm_entries() == before
         assert_no_orphans()
 
     def test_interpreter_exit_unlinks_segments(self, tmp_path):
         # An engine abandoned without close(): the pool's finalizer must
-        # still unlink every /dev/shm segment when the process exits.
+        # still kill and join the workers when the process exits, and
+        # /dev/shm stays as it was.
         script = textwrap.dedent(
             """
             import numpy as np
             from repro import QueryEngine
-            from repro.engine import pool_segments
             from repro.model import Candidate, MovingObject
             from repro.prob import PowerLawPF
 
@@ -405,10 +472,11 @@ class TestLifecycle:
             engine = QueryEngine(objects, workers=2, pool=True)
             engine.query(candidates, pf=PowerLawPF(), tau=0.7,
                          algorithm="PIN")
-            assert pool_segments(), "segment should be live before exit"
+            print(*(w.process.pid for w in engine._pool._workers))
             # exit WITHOUT engine.close()
             """
         )
+        before = shm_entries()
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -418,4 +486,7 @@ class TestLifecycle:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert pool_segments() == []
+        assert shm_entries() == before
+        for pid in map(int, proc.stdout.split()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)

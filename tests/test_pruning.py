@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,6 @@ from repro.core.result import Instrumentation
 from repro.core.sketch import InfluenceSketch
 from repro.core.topk import TopKPrimeLS
 from repro.core.weighted import WeightedPrimeLS
-from repro.engine.pool import _attach_columnar, _pack_segment
 from repro.geo.mbr import MBR
 from repro.index import RTree
 from repro.model import MovingObject
@@ -463,9 +463,9 @@ class TestBlockedScan:
         blocks = table.classify_blocks[4]
         list(classify_table_chunks(table, cand_xy[:5], chunk_size=4))
         assert table.classify_blocks[4] is blocks
-        rebuilt = ObjectTable.from_columnar(
-            table.to_columnar(), table.pf, table.tau
-        )
+        # A second table over the same fleet, as a pool worker builds
+        # it, starts with no blocks and chunks to the same split.
+        rebuilt = ObjectTable(table.fleet, table.pf, table.tau)
         assert rebuilt.classify_blocks == {}
         ia, band = scattered_table_chunks(rebuilt, cand_xy, chunk_size=4)
         want_ia, want_band = dense_classification(table, cand_xy)
@@ -479,7 +479,7 @@ class TestBlockedScan:
         )
         np.testing.assert_array_equal(ia, want_ia)
         np.testing.assert_array_equal(band, want_band)
-        assert rebuilt.to_columnar() is table.to_columnar()
+        assert rebuilt.fleet is table.fleet
 
 
 class TestGuardBand:
@@ -528,23 +528,17 @@ class TestGuardBand:
                     [obj], [cand], pf, tau
                 )
                 assert got.best_influence == pair.best_influence, use_rtree
-        # The position block's other readers: PIN over a table rebuilt
-        # from the pool's shared segment (the "pin" span path), and an
-        # exhaustive sketch.
+        # The position block's other readers: PIN over a table that a
+        # pool worker builds on the fleet export with its unpickled PF
+        # (the "pin" span path), and an exhaustive sketch.
         cand_xy = candidates_to_array(candidates)
         table = ObjectTable(objects, pf, tau)
-        shm, meta = _pack_segment(table.to_columnar())
-        try:
-            attached = ObjectTable.from_columnar(
-                _attach_columnar(shm, meta), pf, tau
-            )
-            got = Pinocchio().compute_influence(
-                attached, cand_xy, pf, tau, Instrumentation()
-            )
-            del attached
-            shm.close()
-        finally:
-            shm.unlink()
+        worker_table = ObjectTable(
+            table.fleet, pickle.loads(pickle.dumps(pf)), tau
+        )
+        got = Pinocchio().compute_influence(
+            worker_table, cand_xy, pf, tau, Instrumentation()
+        )
         assert got.tolist() == expected
         sketch = InfluenceSketch.build(table, k=len(objects))
         assert sketch.estimate_many(cand_xy).tolist() == expected

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +23,11 @@ from repro.engine import (
     TenantAdmission,
     TenantBudget,
 )
+from repro.engine import server as server_module
 from repro.engine.metrics import CONTENT_TYPE
-from repro.engine.pool import SEGMENT_PREFIX
 from repro.engine.server import BackgroundServer
 
-from .helpers import make_candidates, make_objects
+from .helpers import make_candidates, make_objects, shm_entries
 from .test_observability import assert_valid_exposition
 
 
@@ -239,6 +238,23 @@ class TestTypedErrors:
         big = b"x" * 8192
         status, code = self._error(server, "POST", "/v1/query", big)
         assert (status, code) == (413, "body-too-large")
+
+    def test_stalled_body_is_408(self, server, monkeypatch):
+        # The head announces a body that never arrives.  The read
+        # timeout is read per request, so patching it here bounds this
+        # one stall instead of the default 10 s.
+        monkeypatch.setattr(server_module, "READ_TIMEOUT", 0.2)
+        started = time.monotonic()
+        raw = _raw_exchange(
+            server.port,
+            b"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 64\r\n\r\n{",
+        )
+        assert time.monotonic() - started < 5.0
+        assert raw.startswith(b"HTTP/1.1 408")
+        error = json.loads(raw.split(b"\r\n\r\n", 1)[1])["error"]
+        assert (error["status"], error["code"]) == (408, "read-timeout")
+        assert "0.2s" in error["message"]
 
     def test_missing_content_length_is_411(self, server):
         raw = _raw_exchange(
@@ -652,6 +668,7 @@ def _group_gone(pgid, timeout=5.0) -> bool:
 class TestRunServerProcess:
     @pytest.mark.parametrize("drill", list(SERVE_DRILLS))
     def test_sigterm_drains_and_exits_zero(self, tmp_path, drill):
+        before = shm_entries()
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
@@ -694,9 +711,7 @@ class TestRunServerProcess:
                 proc.communicate()
         assert proc.returncode == 0, output
         assert group_gone, "orphaned processes in the server's group"
-        assert not list(Path("/dev/shm").glob(
-            f"{SEGMENT_PREFIX}{proc.pid}_*"
-        )), "the server left shared-memory segments"
+        assert shm_entries() == before, "the server left /dev/shm entries"
         assert re.search(r"drain: complete after \d+ request", output)
         assert errors == []
         if drill == "one-request":

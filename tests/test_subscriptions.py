@@ -24,7 +24,7 @@ from repro.core.naive import NaiveAlgorithm
 from repro.core.pruning import CLASSIFY_GUARD, classify_span
 from repro.core.safe_region import guarded_split, margins_span
 from repro.engine.faults import FaultInjector, FaultSpec
-from repro.engine.pool import fork_available, pool_segments
+from repro.engine.pool import fork_available
 from repro.engine.session import QueryEngine
 from repro.engine.subscriptions import (
     SUBSCRIPTION_ALGORITHMS,
@@ -36,7 +36,7 @@ from repro.engine.subscriptions import (
 from repro.model import Candidate
 from repro.prob import LinearPF, PowerLawPF
 
-from tests.helpers import SHIPPED_PFS, boundary_placements
+from tests.helpers import SHIPPED_PFS, boundary_placements, shm_entries
 from tests.test_faults import assert_no_orphans
 
 
@@ -389,6 +389,7 @@ class TestAdmissionAndFaults:
         # pooled one-shot query whose worker crashes in the same
         # process, then 4 more rounds.
         budget, n_objects = 250, 2_000
+        before = shm_entries()
         rng = np.random.default_rng(23)
         extent = 30.0 * np.sqrt(n_objects / 1_000)
         anchors = rng.uniform(0.0, extent, size=(n_objects, 2))
@@ -442,7 +443,7 @@ class TestAdmissionAndFaults:
                 )
                 expected = tuple(res.influences[j] for j in range(4))
                 assert eng.snapshot(sid).influences == expected
-        assert pool_segments() == []
+        assert shm_entries() == before
         assert_no_orphans()
 
 

@@ -1,6 +1,6 @@
 """Docs health checker: links, API coverage, metric catalog, code refs.
 
-Seven checks, all cheap enough for every CI run:
+Eight checks, all cheap enough for every CI run:
 
 1. every relative link in the doc files (``README.md``, ``DESIGN.md``,
    ``EXPERIMENTS.md`` and ``docs/**/*.md``) resolves to a file that
@@ -30,7 +30,13 @@ Seven checks, all cheap enough for every CI run:
    ``repro.cli._ALLOWED_FLAGS``) or an experiment (a name in
    ``repro.cli._registry()``), and every ``--flag`` after it in the
    same span or line, up to the next ``prime-ls``, is one that command
-   accepts — a retired command or flag must not live on in the docs.
+   accepts — a retired command or flag must not live on in the docs;
+8. every ``Class.attr`` in an inline code span of the doc files, whose
+   class is public in ``repro``, ``repro.core`` or ``repro.engine``
+   (its package's ``__all__``), resolves: as a class attribute, a
+   dataclass field, or a ``self.attr =`` assignment in the class or a
+   base — a deleted method or attribute must not live on in the docs
+   under its bare class name either.
 
 Exit status 0 when all pass, 1 with one line per problem otherwise.
 Run as ``PYTHONPATH=src python tools/check_docs.py`` from the repo
@@ -342,6 +348,60 @@ def check_cli_refs() -> list[str]:
     return problems
 
 
+# `Class.attr` in a code span; a dot before the class is a dotted path,
+# which check 5 resolves.
+_CLASS_ATTR = re.compile(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)")
+
+
+def public_classes() -> dict[str, type]:
+    """Class name -> class, over ``repro``, ``repro.core`` and
+    ``repro.engine``'s ``__all__``."""
+    sys.path.insert(0, str(REPO / "src"))
+    classes = {}
+    for package in ("repro", "repro.core", "repro.engine"):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                classes[name] = obj
+    return classes
+
+
+def has_attribute(cls: type, attr: str) -> bool:
+    """A class attribute, a dataclass field, or ``self.attr =`` in the
+    source of ``cls`` or a base."""
+    if hasattr(cls, attr) or attr in getattr(cls, "__dataclass_fields__", {}):
+        return True
+    assignment = re.compile(rf"\bself\.{attr}\s*(?::[^=\n]+)?=(?!=)")
+    for klass in cls.__mro__[:-1]:
+        try:
+            source = inspect.getsource(klass)
+        except (OSError, TypeError):
+            continue
+        if assignment.search(source):
+            return True
+    return False
+
+
+def check_class_attrs() -> list[str]:
+    """Return one problem string per ``Class.attr`` the class lacks."""
+    classes = public_classes()
+    problems = []
+    for md in doc_files():
+        rel = md.relative_to(REPO)
+        prose, _ = split_fences(md)
+        for match in _SPAN.finditer(prose):
+            lineno = prose.count("\n", 0, match.start()) + 1
+            for name, attr in _CLASS_ATTR.findall(match.group(1)):
+                cls = classes.get(name)
+                if cls is not None and not has_attribute(cls, attr):
+                    problems.append(
+                        f"{rel}:{lineno}: `{name}.{attr}` is not an "
+                        f"attribute of {cls.__module__}.{name}"
+                    )
+    return problems
+
+
 def main() -> int:
     """Run all checks; print problems; return a process exit code."""
     problems = (
@@ -352,6 +412,7 @@ def main() -> int:
         + check_code_refs()
         + check_repo_refs()
         + check_cli_refs()
+        + check_class_attrs()
     )
     for problem in problems:
         print(problem)
