@@ -82,6 +82,24 @@ def test_kernel_batch_validate_spans(benchmark):
     )
 
 
+def test_kernel_batch_validate_spans_per_span(benchmark):
+    # the subscription engine's form: a group pass's band pairs, one
+    # candidate per span, repeated object rows, windows of 8 positions
+    rng = np.random.default_rng(4)
+    table = ObjectTable(
+        [MovingObject(oid, rng.uniform(0, 30, size=(8, 2)))
+         for oid in range(64)],
+        PF, 0.7,
+    )
+    fleet = table.fleet
+    span = rng.integers(0, 64, size=128)
+    cand = rng.uniform(0, 30, size=(128, 2))
+    benchmark(
+        batch_validate_spans, PF, fleet.xy, fleet.offsets, span,
+        cand[:, 0], cand[:, 1], LOG_THR,
+    )
+
+
 def test_kernel_classification_chunk(benchmark, cand_xy):
     rng = np.random.default_rng(3)
     table = ObjectTable(make_objects(rng, 256, extent=30.0), PF, 0.7)

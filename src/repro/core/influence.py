@@ -207,13 +207,13 @@ def batch_validate_spans(
     xy: np.ndarray,
     offsets: np.ndarray,
     idx: np.ndarray,
-    cx: float,
-    cy: float,
+    cx: float | np.ndarray,
+    cy: float | np.ndarray,
     log_threshold: float,
     counters: Instrumentation | None = None,
     head: int = 16,
 ) -> np.ndarray:
-    """Strategy-2 validation of many objects against one candidate.
+    """Strategy-2 validation of many (object, candidate) pairs.
 
     Vectorised two-phase evaluation over an x/y position block: first
     the leading ``head`` positions of every selected object in one
@@ -222,12 +222,15 @@ def batch_validate_spans(
     remaining positions are evaluated in a second kernel.  Exact, and
     the position counters reflect the early-stopping savings.
 
-    ``xy``/``offsets`` are a fleet's columnar export: ``xy`` is the
-    ``(2, Σn)`` block whose rows are the x and y columns, and object
-    ``i`` owns columns ``offsets[i]:offsets[i+1]``.  ``idx`` selects
-    the objects to validate — the fleet rows of one candidate's
-    verification-set span.  Runs the same two-phase Strategy-2
-    evaluation without ever materialising per-object arrays or entry
+    ``xy``/``offsets`` are a columnar export: ``xy`` is the ``(2, Σn)``
+    block whose rows are the x and y columns, and object ``i`` owns
+    columns ``offsets[i]:offsets[i+1]``.  ``idx`` selects the objects
+    to validate — the fleet rows of one candidate's verification-set
+    span; a row may repeat.  ``cx``/``cy`` are one candidate (PIN-VO,
+    the sketch) or arrays aligned with ``idx``, one candidate per span
+    (the subscription engine's band pairs); either way each pair's
+    verdict and counters are those of a one-candidate call on its span
+    alone.  Runs without ever materialising per-object arrays or entry
     wrappers.  Bit-identical to the list-based reference the tests keep
     (``tests/helpers.py::batch_validate_objects``): the gathered
     position order, the reduceat segmentation, and every counter
@@ -245,9 +248,16 @@ def batch_validate_spans(
         counters.pairs_validated += k
         counters.positions_total += int(lengths.sum())
 
+    per_span = isinstance(cx, np.ndarray)
     head_lengths = np.minimum(lengths, head)
     cols, seg_offsets = span_index(starts, head_lengths)
-    d = distances(np.take(x, cols), np.take(y, cols), cx, cy)
+    if per_span:
+        d = distances(
+            np.take(x, cols), np.take(y, cols),
+            np.repeat(cx, head_lengths), np.repeat(cy, head_lengths),
+        )
+    else:
+        d = distances(np.take(x, cols), np.take(y, cols), cx, cy)
     s_head = np.add.reduceat(log1m_safe(pf(d)), seg_offsets)
     if counters is not None:
         counters.positions_evaluated += cols.size
@@ -260,8 +270,16 @@ def batch_validate_spans(
         )
     if np.any(undecided):
         u = np.nonzero(undecided)[0]
-        cols, tail_offsets = span_index(starts[u] + head, lengths[u] - head)
-        d = distances(np.take(x, cols), np.take(y, cols), cx, cy)
+        tail_lengths = lengths[u] - head
+        cols, tail_offsets = span_index(starts[u] + head, tail_lengths)
+        if per_span:
+            d = distances(
+                np.take(x, cols), np.take(y, cols),
+                np.repeat(cx[u], tail_lengths),
+                np.repeat(cy[u], tail_lengths),
+            )
+        else:
+            d = distances(np.take(x, cols), np.take(y, cols), cx, cy)
         s_tail = np.add.reduceat(log1m_safe(pf(d)), tail_offsets)
         if counters is not None:
             counters.positions_evaluated += cols.size

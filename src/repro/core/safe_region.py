@@ -32,10 +32,11 @@ the strict inequality then always reports a miss.
 
 The pairs are decided with the guarded tests of the one-shot kernel
 :func:`repro.core.pruning.classify_span` (the kernel itself when a
-subscription scores the fleet, :func:`guarded_split` when a crossing
-recomputes one object) and the margins are measured to those guarded
-boundaries (:func:`split_margins`, :func:`margins_span`), so a
-maintained verdict is always one the one-shot engine would also reach.
+subscription scores the fleet, :func:`guarded_split` on
+:func:`mbr_distances` when a round's crossing objects are recomputed
+together) and the margins are measured to those guarded boundaries
+(:func:`split_margins`, :func:`margins_span`), so a maintained verdict
+is always one the one-shot engine would also reach.
 The one maintainer built on these functions is
 :class:`repro.engine.subscriptions.SubscriptionEngine`, which keeps the
 slacks in columnar per-object arrays.
@@ -52,6 +53,30 @@ from repro.core.pruning import CLASSIFY_GUARD
 #: and NIB-pruned only if ``minDist > r·sqrt(1 + g)``
 _IA_RATIO = float(np.sqrt(1.0 - CLASSIFY_GUARD))
 _OUT_RATIO = float(np.sqrt(1.0 + CLASSIFY_GUARD))
+
+
+def mbr_distances(
+    mbrs: np.ndarray, xy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(t, m)`` ``minDist``/``maxDist`` of MBR rows against points.
+
+    ``mbrs`` is ``(t, 4)`` rows ``(min_x, min_y, max_x, max_y)`` and
+    ``xy`` is ``(m, 2)``.  Row ``i`` is exactly
+    ``MBR(*mbrs[i]).min_dist_many(xy)`` and ``.max_dist_many(xy)``:
+    the same ``np.hypot`` arithmetic, broadcast over the MBR rows.
+    """
+    x = xy[:, 0]
+    y = xy[:, 1]
+    min_x = mbrs[:, 0][:, None]
+    min_y = mbrs[:, 1][:, None]
+    max_x = mbrs[:, 2][:, None]
+    max_y = mbrs[:, 3][:, None]
+    dx = np.maximum(np.maximum(min_x - x, 0.0), x - max_x)
+    dy = np.maximum(np.maximum(min_y - y, 0.0), y - max_y)
+    min_d = np.hypot(dx, dy)
+    dx = np.maximum(np.abs(x - min_x), np.abs(x - max_x))
+    dy = np.maximum(np.abs(y - min_y), np.abs(y - max_y))
+    return min_d, np.hypot(dx, dy)
 
 
 def guarded_split(

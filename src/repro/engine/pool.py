@@ -26,7 +26,9 @@ parent's fleet export (:class:`~repro.core.object_table.ColumnarTable`)
 through the pages it inherited: NA reads it as it is, and a span for
 a ``(PF, τ)`` carries the parent's table key, under which the worker
 builds that table's radius column (:class:`ObjectTable`) on first use
-and memoises it.  Nothing is copied into or out of shared memory.
+and memoises it in an LRU of the engine's ``CacheBudget.max_tables``
+entries, like the parent's table cache.  Nothing is copied into or out
+of shared memory.
 
 Dispatch protocol (all messages are plain picklable tuples):
 
@@ -85,6 +87,7 @@ import numpy as np
 
 from repro.core.object_table import ColumnarTable, ObjectTable
 from repro.core.result import Instrumentation
+from repro.engine.cache import CacheBudget, LRUCache
 from repro.engine.faults import (
     DeadlineExceeded,
     FaultInjector,
@@ -291,14 +294,18 @@ def _solver_for(cache: dict, algorithm: str, kwargs: dict):
     return solver
 
 
-def _worker_main(slot: int, conn, sibling_conns, fleet: ColumnarTable) -> None:
+def _worker_main(
+    slot: int, conn, sibling_conns, fleet: ColumnarTable, max_tables: int
+) -> None:
     """Long-lived worker loop: answer spans over the inherited fleet.
 
     ``fleet`` is the parent's export, inherited through fork and never
     copied; each table is built over it on first use and memoised
-    under the parent's table key.  Exits via ``os._exit`` so the
-    forked child never runs the parent's atexit hooks (in particular
-    the pool finalizer, which also checks the owner pid).
+    under the parent's table key, at most ``max_tables`` of them (the
+    least recently used is dropped first), and every span record says
+    how many the worker holds as ``tables``.  Exits via ``os._exit``
+    so the forked child never runs the parent's atexit hooks (in
+    particular the pool finalizer, which also checks the owner pid).
     """
     for sibling in sibling_conns:
         # Inherited copies of the other workers' parent-side pipe ends;
@@ -307,7 +314,7 @@ def _worker_main(slot: int, conn, sibling_conns, fleet: ColumnarTable) -> None:
             sibling.close()
         except OSError:
             pass
-    tables: dict[tuple, ObjectTable] = {}
+    tables = LRUCache("tables", max_entries=max_tables)
     solvers: dict = {}
     try:
         while True:
@@ -335,6 +342,7 @@ def _worker_main(slot: int, conn, sibling_conns, fleet: ColumnarTable) -> None:
                     kind, solver, data, cand_slice, pf, tau
                 )
                 record.attrs["worker"] = slot
+                record.attrs["tables"] = len(tables)
                 conn.send(("ok", task_id, payload, counters, record))
             except BaseException as exc:  # noqa: BLE001 — parent decides
                 try:
@@ -392,7 +400,9 @@ class WorkerPool:
     first pooled dispatch; one pool serves every subsequent query of
     the session.  ``fleet`` is the engine's export, which every worker
     (and every respawned one) inherits through fork, so it must not
-    change while the pool lives.  ``run_batch`` is the sole entry
+    change while the pool lives; each worker memoises at most
+    ``max_tables`` tables over it (the engine passes its
+    ``CacheBudget.max_tables``).  ``run_batch`` is the sole entry
     point: it dispatches span tasks round-robin (at most
     :data:`MAX_INFLIGHT` per worker), supervises failures per the
     :class:`SupervisorPolicy`, and returns ``{task_id: (payload,
@@ -404,6 +414,7 @@ class WorkerPool:
         size: int,
         fleet: ColumnarTable,
         policy: SupervisorPolicy | None = None,
+        max_tables: int = CacheBudget.max_tables,
     ):
         if size < 2:
             raise ValueError(f"a worker pool needs size >= 2, got {size}")
@@ -412,9 +423,11 @@ class WorkerPool:
         self.size = int(size)
         self.fleet = fleet
         self.policy = policy or SupervisorPolicy()
+        #: tables each worker memoises (the engine's table budget)
+        self.max_tables = int(max_tables)
         self._mp = multiprocessing.get_context("fork")
-        #: table key -> the PF first dispatched under it.  A worker
-        #: memoises a table per key for its lifetime, so the PF is held
+        #: table key -> the PF first dispatched under it.  A worker may
+        #: hold a table under a key for its lifetime, so the PF is held
         #: to keep an identity-based key from being recycled.
         self._table_pfs: dict[tuple, Any] = {}
         self._workers: list[_PoolWorker] = []
@@ -438,7 +451,7 @@ class WorkerPool:
         siblings = [w.conn for w in self._workers if w is not None]
         proc = self._mp.Process(
             target=_worker_main,
-            args=(slot, child_conn, siblings, self.fleet),
+            args=(slot, child_conn, siblings, self.fleet, self.max_tables),
             daemon=True,
         )
         proc.start()

@@ -743,7 +743,8 @@ class QueryEngine:
         with self._pool_lock:
             if self._pool is None or self._pool.closed:
                 self._pool = WorkerPool(
-                    self.workers, self.fleet, policy=self.supervisor_policy
+                    self.workers, self.fleet, policy=self.supervisor_policy,
+                    max_tables=self.cache_budget.max_tables,
                 )
             return self._pool
 

@@ -22,11 +22,18 @@ The core is a **safe-region index** over the IA/NIB geometry
   **zero candidate work** (a *safe-region hit*): every candidate keeps
   a certain IA/OUT verdict, so the marks — and every subscription's
   influence table — are untouched by Lemmas 2-3,
-* only a **boundary crossing** recomputes, and then as one vectorised
+* only a **boundary crossing** recomputes: a round's crossing objects
+  in one group go through one vectorised ``(crossers × rows)``
   min/max-distance pass over the group's candidate rows, split with
   the one-shot kernel's guard band (a pair within rounding of
-  ``minMaxRadius`` is validated here too), plus exact validation of
-  the (usually tiny) band.
+  ``minMaxRadius`` is validated here too), then one exact Strategy-2
+  validation of every band pair and one diff of the marks on flat
+  ``(crosser, row)`` keys.
+
+Each object's sliding window is a row of one ``(slots, window, 2)``
+position block with a fill count, oldest position first, so a round's
+appends, its touched MBRs and every validation's position gather are
+array operations over that block.
 
 Steady-state maintenance cost is therefore proportional to boundary
 *crossings*, not ``n_subscriptions × n_objects``.  Exactness is the
@@ -49,19 +56,26 @@ import itertools
 import json
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.influence import influence_threshold_log, validate_pair
+from repro.core.influence import (
+    DEFAULT_CHUNK,
+    batch_validate_spans,
+    influence_threshold_log,
+    span_index,
+)
 from repro.core.minmax_radius import MinMaxRadiusCache
-from repro.core.pruning import classify_span
+from repro.core.pruning import CLASSIFY_TILE_ELEMS, classify_span
 from repro.core.result import Instrumentation
 from repro.core.safe_region import (
     guarded_split,
     margins_span,
+    mbr_distances,
     split_margins,
 )
 from repro.engine.admission import AdmissionController, SHED_POLICIES
@@ -69,7 +83,6 @@ from repro.engine.faults import FaultInjector
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.session import _pf_key
 from repro.engine.trace import Tracer
-from repro.geo.mbr import MBR
 from repro.model.candidate import Candidate
 from repro.model.moving_object import MovingObject
 from repro.prob.base import ProbabilityFunction
@@ -83,8 +96,12 @@ SUBSCRIPTION_ALGORITHMS = ("NA", "PIN", "PIN-VO")
 #: an L-infinity move of the four MBR side coordinates
 _LIPSCHITZ = float(np.sqrt(2.0))
 
-#: schema stamp on every JSONL record this module writes
-RECORD_SCHEMA_VERSION = 1
+#: schema stamp on every JSONL record this module writes (2: one
+#: ``recompute`` record per group pass, with an ``objects`` count)
+RECORD_SCHEMA_VERSION = 2
+
+#: an empty row/index column (no marks)
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -193,9 +210,9 @@ class _Group:
     ``row_xy`` (dead rows from unsubscribes stay as tombstones so row
     indexes remain stable); ``ref_mbrs``/``ref_radii``/``slacks`` are
     indexed by the engine's object *slot* and hold each object's cached
-    safe region in columnar form.  ``marks[oid][sub_id]`` is
-    the set of local candidate indexes the object currently counts
-    toward — sparse, because most objects influence nothing.
+    safe region in columnar form.  ``marks[slot]`` is the ascending
+    list of group rows the object currently counts toward — sparse,
+    because most objects influence nothing.
     """
 
     def __init__(self, pf, tau, capacity):
@@ -212,7 +229,7 @@ class _Group:
         self.ref_mbrs = np.full((capacity, 4), np.nan)
         self.ref_radii = np.full(capacity, np.nan)
         self.slacks = np.full(capacity, -np.inf)
-        self.marks: dict[int, dict[int, set[int]]] = {}
+        self.marks: dict[int, list[int]] = {}
 
     def grow(self, capacity: int) -> None:
         """Extend the per-slot arrays to the engine's new capacity."""
@@ -308,14 +325,16 @@ class SubscriptionEngine:
         self._events: deque[SubscriptionEvent] = deque(maxlen=max_events)
         self.events_dropped = 0
         self._lock = threading.RLock()
-        # fleet state: sliding windows + columnar MBR/count mirrors
-        self._windows: dict[int, deque] = {}
+        # fleet state: object id -> slot (insertion order is the fleet
+        # order), and per slot its window (oldest position first), the
+        # window's fill count and its MBR
         self._slots: dict[int, int] = {}
         self._slot_oid: list[int] = []
         self._free_slots: list[int] = []
         self._capacity = 0
-        self._mbrs = np.empty((0, 4), dtype=float)
+        self._block = np.empty((0, self.window, 2), dtype=float)
         self._counts = np.zeros(0, dtype=np.int64)
+        self._mbrs = np.empty((0, 4), dtype=float)
         self._live_slots_cache: np.ndarray | None = None
         # groups and subscriptions
         self._groups: dict[tuple, _Group] = {}
@@ -373,8 +392,9 @@ class SubscriptionEngine:
         )
         self._m_recompute_seconds = _series(
             reg.histogram, "pinls_sub_recompute_seconds",
-            "Wall-clock seconds per (object, group) slow-path "
-            "recomputation",
+            "Wall-clock seconds per group pass: one slow-path "
+            "recomputation of all of a round's crossing objects in one "
+            "(PF, tau) group",
         )
         g_subs = _series(
             reg.gauge, "pinls_sub_subscriptions",
@@ -385,7 +405,7 @@ class SubscriptionEngine:
             reg.gauge, "pinls_sub_objects",
             "Objects currently tracked by the subscription engine",
         )
-        g_objs.set_function(lambda: float(len(self._windows)))
+        g_objs.set_function(lambda: float(len(self._slots)))
         g_groups = _series(
             reg.gauge, "pinls_sub_groups",
             "Distinct (PF, tau) subscription groups",
@@ -405,6 +425,9 @@ class SubscriptionEngine:
             return
         capacity = max(needed, max(16, self._capacity * 2))
         extra = capacity - self._capacity
+        self._block = np.concatenate(
+            [self._block, np.zeros((extra, self.window, 2))]
+        )
         self._mbrs = np.vstack([self._mbrs, np.full((extra, 4), np.nan)])
         self._counts = np.concatenate(
             [self._counts, np.zeros(extra, dtype=np.int64)]
@@ -442,8 +465,8 @@ class SubscriptionEngine:
         """
         with self._lock:
             return [
-                MovingObject(oid, np.array(win, dtype=float))
-                for oid, win in self._windows.items()
+                MovingObject(oid, self._block[slot, : self._counts[slot]])
+                for oid, slot in self._slots.items()
             ]
 
     # ------------------------------------------------------------------
@@ -519,7 +542,6 @@ class SubscriptionEngine:
         )
         radii = rad_vals[inverse]
         alive = np.isfinite(radii)
-        m = cand_xy.shape[0]
         new_min = np.full(live.size, np.inf)
         if alive.any():
             a_idx = np.nonzero(alive)[0]
@@ -527,21 +549,17 @@ class SubscriptionEngine:
             a_radii = radii[a_idx]
             ia, band = classify_span(a_mbrs, a_radii, cand_xy)
             infl = ia.copy()
-            for i, j in np.argwhere(band):
-                slot = int(live[a_idx[i]])
-                oid = self._slot_oid[slot]
-                positions = np.array(self._windows[oid], dtype=float)
-                if validate_pair(
-                    group.pf, positions,
-                    float(cand_xy[j, 0]), float(cand_xy[j, 1]),
-                    group.log_threshold, counters=self.counters,
-                    kernel="vector", early_stop=True,
-                ):
-                    infl[i, j] = True
-            sub.influence += infl.sum(axis=0, dtype=np.int64)
-            for i, j in np.argwhere(infl):
-                oid = self._slot_oid[int(live[a_idx[i]])]
-                self._mark(group, oid, sub.sub_id).add(int(j))
+            bi, bj = np.nonzero(band)
+            if bi.size:
+                infl[bi, bj] = self._validate(
+                    group, live[a_idx[bi]], cand_xy[bj]
+                )
+            hit = infl.any(axis=1)
+            ks, js = np.nonzero(infl[hit])
+            self._remark(
+                group, live[a_idx[hit]].tolist(), ks, js + sub.row_start,
+                first_row=sub.row_start,
+            )
             new_min[a_idx] = margins_span(
                 a_mbrs, a_radii, cand_xy, ia, band
             ).min(axis=1)
@@ -564,13 +582,6 @@ class SubscriptionEngine:
         group.ref_radii[live] = radii       # NaN rows mark dead objects
         group.slacks[live] = np.where(alive, merged, -np.inf)
 
-    def _mark(self, group, oid, sub_id) -> set[int]:
-        per_obj = group.marks.setdefault(oid, {})
-        marks = per_obj.get(sub_id)
-        if marks is None:
-            marks = per_obj[sub_id] = set()
-        return marks
-
     def unsubscribe(self, subscription_id: int) -> None:
         """Drop a standing query; its candidate rows become tombstones."""
         with self._lock:
@@ -578,13 +589,20 @@ class SubscriptionEngine:
             if entry is None:
                 raise KeyError(f"unknown subscription {subscription_id}")
             group, sub = entry
-            group.row_live[group.row_sub == subscription_id] = False
+            lo = sub.row_start
+            hi = lo + len(sub.candidates)
+            group.row_live[lo:hi] = False
             del group.subs[subscription_id]
-            for per_obj in list(group.marks.items()):
-                oid, marks = per_obj
-                marks.pop(subscription_id, None)
-                if not marks:
-                    del group.marks[oid]
+            for slot, rows in list(group.marks.items()):
+                i = bisect_left(rows, lo)
+                j = bisect_left(rows, hi, i)
+                if i == j:
+                    continue
+                rows = rows[:i] + rows[j:]
+                if rows:
+                    group.marks[slot] = rows
+                else:
+                    del group.marks[slot]
             if not group.subs:
                 for key, g in list(self._groups.items()):
                     if g is group:
@@ -623,7 +641,7 @@ class SubscriptionEngine:
             best_candidate=sub.candidates[best],
             best_influence=influences[best],
             influences=influences,
-            objects=len(self._windows),
+            objects=len(self._slots),
         )
 
     def drain_events(self) -> list[SubscriptionEvent]:
@@ -715,29 +733,59 @@ class SubscriptionEngine:
                 phantom = self.admission.capacity
         return phantom
 
-    def _apply_updates(self, updates) -> list[int]:
-        """Append admitted updates to their windows; returns touched oids."""
-        touched: dict[int, None] = {}
-        for object_id, x, y in updates:
+    def _apply_updates(self, updates) -> np.ndarray:
+        """Append admitted updates to their windows; returns touched slots.
+
+        One pass over the round: each touched window keeps the last
+        ``window`` positions of its old contents followed by its
+        updates in arrival order, and its MBR and fill count are
+        recomputed from the block.  The touched slots come back
+        ascending.
+        """
+        if not updates:
+            return np.empty(0, dtype=np.int64)
+        slot_of = self._slots
+        order = []
+        for object_id, _, _ in updates:
             oid = int(object_id)
-            win = self._windows.get(oid)
-            if win is None:
-                win = deque(maxlen=self.window)
-                self._windows[oid] = win
-                self._alloc_slot(oid)
-            win.append((float(x), float(y)))
-            touched[oid] = None
-        for oid in touched:
-            slot = self._slots[oid]
-            win = self._windows[oid]
-            xs = [p[0] for p in win]
-            ys = [p[1] for p in win]
-            self._mbrs[slot, 0] = min(xs)
-            self._mbrs[slot, 1] = min(ys)
-            self._mbrs[slot, 2] = max(xs)
-            self._mbrs[slot, 3] = max(ys)
-            self._counts[slot] = len(win)
-        return list(touched)
+            slot = slot_of.get(oid)
+            order.append(self._alloc_slot(oid) if slot is None else slot)
+        slots = np.array(order, dtype=np.int64)
+        xy = np.array([(u[1], u[2]) for u in updates], dtype=float)
+        # group the updates by slot, arrival order kept within a slot
+        by_slot = np.argsort(slots, kind="stable")
+        touched, first, per = np.unique(
+            slots[by_slot], return_index=True, return_counts=True
+        )
+        width = self.window
+        fill = self._counts[touched]
+        shift = np.maximum(fill + per - width, 0)
+        # window position i keeps old position i + shift; the updates
+        # land after the kept positions, the oldest ones falling off
+        cols = np.minimum(np.arange(width) + shift[:, None], width - 1)
+        windows = np.take_along_axis(
+            self._block[touched], cols[:, :, None], axis=1
+        )
+        owner = np.repeat(np.arange(touched.size), per)
+        dest = (
+            np.repeat(fill - shift, per)
+            + np.arange(slots.size) - np.repeat(first, per)
+        )
+        keep = dest >= 0
+        windows[owner[keep], dest[keep]] = xy[by_slot[keep]]
+        counts = np.minimum(fill + per, width)
+        held = np.arange(width) < counts[:, None]
+        xs = windows[:, :, 0]
+        ys = windows[:, :, 1]
+        self._block[touched] = windows
+        self._counts[touched] = counts
+        self._mbrs[touched] = np.column_stack((
+            np.where(held, xs, np.inf).min(axis=1),
+            np.where(held, ys, np.inf).min(axis=1),
+            np.where(held, xs, -np.inf).max(axis=1),
+            np.where(held, ys, -np.inf).max(axis=1),
+        ))
+        return touched
 
     def forget_object(self, object_id: int) -> None:
         """Drop an object, rolling back its contributions everywhere.
@@ -747,17 +795,15 @@ class SubscriptionEngine:
         """
         notify: list[tuple] = []
         with self._lock:
-            if object_id not in self._windows:
+            slot = self._slots.pop(object_id, None)
+            if slot is None:
                 raise KeyError(f"unknown object {object_id}")
             changed: set[int] = set()
             for group in self._groups.values():
-                changed |= self._clear_marks(group, object_id)
-                slot = self._slots[object_id]
+                changed |= self._remark(group, [slot], _NO_ROWS, _NO_ROWS)
                 group.ref_radii[slot] = np.nan
                 group.slacks[slot] = -np.inf
                 group.ref_mbrs[slot] = np.nan
-            del self._windows[object_id]
-            slot = self._slots.pop(object_id)
             self._slot_oid[slot] = -1
             self._mbrs[slot] = np.nan
             self._counts[slot] = 0
@@ -798,44 +844,101 @@ class SubscriptionEngine:
             bumped.append(sub_id)
         return bumped
 
-    def _clear_marks(self, group: _Group, oid: int) -> set[int]:
-        """Roll back an object's influence marks in one group."""
+    def _remark(self, group, slots, ks, rows, first_row=0) -> set[int]:
+        """Replace the marks of ``slots`` at group rows ``>= first_row``.
+
+        The new marks are pairs ``(ks[i], rows[i])``: object
+        ``slots[ks[i]]`` counts toward group row ``rows[i]``, ascending
+        in ``ks`` and then in ``rows``, all at or past ``first_row``.
+        Old and new marks are compared as flat ``k · R + row`` keys, the
+        difference is applied to the subscriptions' influence tables
+        in one pass, and the subscriptions whose marks changed for some
+        object are returned.
+        """
+        marks = group.marks
+        n_rows = group.row_xy.shape[0]
+        kept = [marks.pop(s, []) for s in slots]
+        cuts = [bisect_left(m, first_row) for m in kept]
+        old = [m[c:] for m, c in zip(kept, cuts)]
+        sizes = [len(m) for m in old]
+        old_keys = (
+            np.repeat(np.arange(len(slots)) * n_rows, sizes)
+            + np.fromiter(
+                itertools.chain.from_iterable(old), np.int64, sum(sizes)
+            )
+        )
+        new_keys = ks * n_rows + rows
+        gained = np.setdiff1d(new_keys, old_keys, assume_unique=True)
+        lost = np.setdiff1d(old_keys, new_keys, assume_unique=True)
+        ends = np.cumsum(np.bincount(ks, minlength=len(slots))).tolist()
+        new_rows = rows.tolist()
+        start = 0
+        for s, m, c, end in zip(slots, kept, cuts, ends):
+            m = m[:c] + new_rows[start:end]
+            if m:
+                marks[s] = m
+            start = end
+        if not (gained.size or lost.size):
+            return set()
+        gained %= n_rows
+        lost %= n_rows
+        delta = np.bincount(gained, minlength=n_rows) - np.bincount(
+            lost, minlength=n_rows
+        )
         changed: set[int] = set()
-        per_obj = group.marks.pop(oid, None)
-        if not per_obj:
-            return changed
-        for sub_id, marks in per_obj.items():
+        moved = np.concatenate((gained, lost))
+        for sub_id in np.unique(group.row_sub[moved]).tolist():
             sub = group.subs.get(sub_id)
             if sub is None:
                 continue
-            for j in marks:
-                sub.influence[j] -= 1
+            sub.influence += delta[
+                sub.row_start : sub.row_start + len(sub.candidates)
+            ]
             changed.add(sub_id)
         return changed
+
+    def _validate(self, group, slots, cand_xy) -> np.ndarray:
+        """Exact verdicts of band pairs ``(slots[i], cand_xy[i])``.
+
+        Gathers each distinct object's window once from the position
+        block and runs one Strategy-2 pass over every pair, at the
+        chunk granularity of the one-pair kernel
+        (:func:`repro.core.influence.validate_pair`), so each pair's
+        counters are the ones that kernel would count for any window
+        up to two chunks long.
+        """
+        objects, pair_object = np.unique(slots, return_inverse=True)
+        counts = self._counts[objects]
+        offsets = np.zeros(objects.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        cols, _ = span_index(objects * self.window, counts)
+        xy = self._block.reshape(-1, 2)[cols].T
+        return batch_validate_spans(
+            group.pf, xy, offsets, pair_object,
+            cand_xy[:, 0], cand_xy[:, 1], group.log_threshold,
+            counters=self.counters, head=DEFAULT_CHUNK,
+        )
 
     # ------------------------------------------------------------------
     # The batch refresh
     # ------------------------------------------------------------------
     def _refresh_touched(self, touched, report, span) -> set[int]:
-        """Refresh every touched object against every group.
+        """Refresh every touched slot against every group.
 
         Returns the subscription ids whose influence tables changed.
         The fast path is columnar: one vectorised deformation-vs-slack
-        pass per (batch, group) classifies all touched objects at
-        once, so a calm batch costs O(groups) numpy calls instead of
-        O(touched × groups) Python iterations — only the objects that
-        actually cross a boundary (or die/revive) fall through to the
-        per-object slow path.
+        pass per (round, group) classifies all touched objects at
+        once, so a calm round costs O(groups) numpy calls instead of
+        O(touched × groups) Python iterations.  The objects that
+        cross a boundary go through one group pass
+        (:meth:`_recompute`), and the ones that died roll back their
+        marks in one :meth:`_remark`.
         """
         changed: set[int] = set()
-        if not touched:
+        if not touched.size:
             return changed
-        slots = np.fromiter(
-            (self._slots[o] for o in touched),
-            dtype=np.int64, count=len(touched),
-        )
-        mbs = self._mbrs[slots]
-        uniq, inverse = np.unique(self._counts[slots], return_inverse=True)
+        mbs = self._mbrs[touched]
+        uniq, inverse = np.unique(self._counts[touched], return_inverse=True)
         for group in self._groups.values():
             by_count = np.array([
                 r if (r := group.radius_cache.radius(int(n))) is not None
@@ -843,104 +946,87 @@ class SubscriptionEngine:
                 for n in uniq
             ], dtype=float)
             radii = by_count[inverse]          # NaN = dead at this tau
-            ref_r = group.ref_radii[slots]     # NaN = dead at the ref
+            ref_r = group.ref_radii[touched]   # NaN = dead at the ref
             dead_now = np.isnan(radii)
-            dead_ref = np.isnan(ref_r)
             # NaN refs/radii propagate NaN deformations, which compare
             # False against any slack — exactly "no safe region".
             deformation = (
                 _LIPSCHITZ
-                * np.abs(mbs - group.ref_mbrs[slots]).max(axis=1)
+                * np.abs(mbs - group.ref_mbrs[touched]).max(axis=1)
                 + np.abs(radii - ref_r)
             )
-            safe = deformation < group.slacks[slots]
+            safe = deformation < group.slacks[touched]
             hits = int(np.count_nonzero(safe))
             if hits:
                 report.safe_region_hits += hits
                 self.safe_region_hits += hits
                 self.counters.safe_region_hits += hits
                 self._m_safe_hits.inc(hits)
-            for k in np.nonzero(~safe)[0]:
-                oid = touched[k]
-                slot = int(slots[k])
-                if dead_now[k]:
-                    if dead_ref[k]:
-                        continue  # dead before, dead now: nothing held
-                    changed |= self._clear_marks(group, oid)
-                    group.ref_radii[slot] = np.nan
-                    group.slacks[slot] = -np.inf
-                    self.counters.dead_objects += 1
-                    continue
+            # dead before and dead now: nothing held, nothing to do
+            dying = ~safe & dead_now & ~np.isnan(ref_r)
+            if dying.any():
+                gone = touched[dying]
+                changed |= self._remark(
+                    group, gone.tolist(), _NO_ROWS, _NO_ROWS
+                )
+                group.ref_radii[gone] = np.nan
+                group.slacks[gone] = -np.inf
+                self.counters.dead_objects += gone.size
+            crossing = ~safe & ~dead_now
+            if crossing.any():
                 changed |= self._recompute(
-                    group, oid, slot, self._mbrs[slot], float(radii[k]),
-                    report, span,
+                    group, touched[crossing], mbs[crossing],
+                    radii[crossing], report, span,
                 )
         return changed
 
-    def _recompute(self, group, oid, slot, mb, radius, report, span):
-        """Slow path: one vectorised pass over the group's candidate rows."""
+    def _recompute(self, group, slots, mbs, radii, report, span):
+        """Slow path: one pass over a round's crossing objects in a group.
+
+        ``(crossers × rows)`` min/max distances, the guarded split and
+        its margins, tiled over the crossers so no temporary exceeds
+        :data:`~repro.core.pruning.CLASSIFY_TILE_ELEMS` elements; then
+        one exact validation of every live band pair, each crosser's
+        slack as its row minimum, and one marks update.
+        """
         t0 = time.perf_counter()
-        child = span.child("recompute", object=oid)
-        changed: set[int] = set()
-        validations = 0
-        R = group.row_xy.shape[0]
-        if R == 0:
-            slack = np.inf
-            new_marks: dict[int, set[int]] = {}
-        else:
-            mbr = MBR(float(mb[0]), float(mb[1]), float(mb[2]), float(mb[3]))
-            min_d = mbr.min_dist_many(group.row_xy)
-            max_d = mbr.max_dist_many(group.row_xy)
-            ia, band = guarded_split(min_d, max_d, radius)
-            margins = split_margins(min_d, max_d, radius, ia, band)
-            band &= group.row_live
-            infl = ia & group.row_live
-            if band.any():
-                positions = np.array(self._windows[oid], dtype=float)
-                for row in np.nonzero(band)[0]:
-                    validations += 1
-                    if validate_pair(
-                        group.pf, positions,
-                        float(group.row_xy[row, 0]),
-                        float(group.row_xy[row, 1]),
-                        group.log_threshold, counters=self.counters,
-                        kernel="vector", early_stop=True,
-                    ):
-                        infl[row] = True
-            margins[~group.row_live] = np.inf
-            slack = float(margins.min())
-            new_marks = {}
-            for row in np.nonzero(infl)[0]:
-                new_marks.setdefault(
-                    int(group.row_sub[row]), set()
-                ).add(int(group.row_local[row]))
-        old_marks = group.marks.get(oid, {})
-        for sub_id in set(old_marks) | set(new_marks):
-            sub = group.subs.get(sub_id)
-            if sub is None:
-                continue
-            old = old_marks.get(sub_id, ())
-            new = new_marks.get(sub_id, ())
-            if old == new:
-                continue
-            for j in set(new) - set(old):
-                sub.influence[j] += 1
-            for j in set(old) - set(new):
-                sub.influence[j] -= 1
-            changed.add(sub_id)
-        if new_marks:
-            group.marks[oid] = new_marks
-        else:
-            group.marks.pop(oid, None)
-        group.ref_mbrs[slot] = mb
-        group.ref_radii[slot] = radius
-        group.slacks[slot] = slack
+        child = span.child("recompute", objects=int(slots.size))
+        # a group keeps every row it ever had (tombstones included), so
+        # it has at least one
+        n_rows = group.row_xy.shape[0]
+        live = group.row_live
+        tile = max(1, CLASSIFY_TILE_ELEMS // n_rows)
+        slacks = np.empty(slots.size)
+        ia_keys = []
+        band_keys = []
+        for lo in range(0, slots.size, tile):
+            min_d, max_d = mbr_distances(mbs[lo : lo + tile], group.row_xy)
+            r = radii[lo : lo + tile, None]
+            ia, band = guarded_split(min_d, max_d, r)
+            margins = split_margins(min_d, max_d, r, ia, band)
+            margins[:, ~live] = np.inf
+            slacks[lo : lo + tile] = margins.min(axis=1)
+            ia_keys.append(np.flatnonzero(ia & live) + lo * n_rows)
+            band_keys.append(np.flatnonzero(band & live) + lo * n_rows)
+        keys = np.concatenate(ia_keys)
+        band = np.concatenate(band_keys)
+        validations = int(band.size)
+        if validations:
+            k, row = np.divmod(band, n_rows)
+            influenced = self._validate(group, slots[k], group.row_xy[row])
+            keys = np.sort(np.concatenate((keys, band[influenced])))
+        ks, rows = np.divmod(keys, n_rows)
+        changed = self._remark(group, slots.tolist(), ks, rows)
+        group.ref_mbrs[slots] = mbs
+        group.ref_radii[slots] = radii
+        group.slacks[slots] = slacks
         elapsed = time.perf_counter() - t0
-        report.crossings += 1
+        crossings = int(slots.size)
+        report.crossings += crossings
         report.validations += validations
-        self.crossings += 1
+        self.crossings += crossings
         self.validations_total += validations
-        self._m_crossings.inc()
+        self._m_crossings.inc(crossings)
         if validations:
             self._m_validations.inc(validations)
         self._m_recompute_seconds.observe(elapsed)
@@ -949,9 +1035,9 @@ class SubscriptionEngine:
             self._append_record({
                 "schema": RECORD_SCHEMA_VERSION,
                 "kind": "recompute",
-                "object": oid,
+                "objects": crossings,
                 "tau": group.tau,
-                "rows": R,
+                "rows": n_rows,
                 "validations": validations,
                 "changed_subscriptions": sorted(changed),
                 "elapsed_seconds": elapsed,
@@ -1000,7 +1086,7 @@ class SubscriptionEngine:
             return {
                 "subscriptions": len(self._subs),
                 "groups": len(self._groups),
-                "objects": len(self._windows),
+                "objects": len(self._slots),
                 "window": self.window,
                 "updates_applied": self.updates_applied,
                 "updates_shed": self.updates_shed,
@@ -1014,7 +1100,7 @@ class SubscriptionEngine:
 
     @property
     def n_objects(self) -> int:
-        return len(self._windows)
+        return len(self._slots)
 
     @property
     def n_subscriptions(self) -> int:

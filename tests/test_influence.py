@@ -297,6 +297,45 @@ class TestBatchValidateSpans:
         np.testing.assert_array_equal(got, want)
         assert got_counters == want_counters
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        tau=st.floats(0.05, 0.95),
+        k=st.integers(1, 40),
+        head=st.sampled_from([1, 4, 16, 32]),
+    )
+    def test_property_one_candidate_per_span(self, seed, tau, k, head):
+        # The per-span form equals one single-candidate call per span,
+        # verdicts and every counter, with repeated object rows and
+        # spans both shorter and longer than ``head``.
+        pf = PowerLawPF()
+        rng = np.random.default_rng(seed)
+        objects = [
+            rng.uniform(0, 40, size=(int(rng.integers(1, 70)), 2))
+            for _ in range(12)
+        ]
+        positions, offsets = self.flat_block(objects)
+        idx = rng.integers(0, len(objects), size=k)
+        cand = rng.uniform(0, 40, size=(k, 2))
+        log_thr = influence_threshold_log(tau)
+
+        got_counters = Instrumentation()
+        got = batch_validate_spans(
+            pf, positions, offsets, idx, cand[:, 0], cand[:, 1], log_thr,
+            counters=got_counters, head=head,
+        )
+        want_counters = Instrumentation()
+        want = [
+            bool(batch_validate_spans(
+                pf, positions, offsets, idx[i : i + 1],
+                float(cand[i, 0]), float(cand[i, 1]), log_thr,
+                counters=want_counters, head=head,
+            )[0])
+            for i in range(k)
+        ]
+        assert got.tolist() == want
+        assert got_counters == want_counters
+
     def test_empty_span(self, pf):
         objects = [np.zeros((3, 2))]
         positions, offsets = self.flat_block(objects)

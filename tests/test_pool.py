@@ -41,6 +41,7 @@ from repro import QueryEngine, select_location
 from repro.core.result import Instrumentation
 from repro.engine import (
     BreakerConfig,
+    CacheBudget,
     FaultInjector,
     FaultSpec,
     QueryRequest,
@@ -341,6 +342,35 @@ class TestWorkerRebuild:
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
         assert worker.dead_objects == parent.dead_objects == 2
+
+    def test_worker_table_memo_is_bounded_by_the_table_budget(
+        self, world, candidates, pf
+    ):
+        # Four distinct tau through two workers that may each hold two
+        # tables, then the first tau again after it was dropped: every
+        # worker span says how many tables its worker holds.
+        taus = (0.5, 0.6, 0.7, 0.8, 0.5)
+        with pooled_engine(
+            world, workers=2, tracing=True,
+            cache_budget=CacheBudget(max_tables=2),
+        ) as engine:
+            for tau in taus:
+                got = engine.query(candidates, pf=pf, tau=tau, algorithm="PIN")
+                want = select_location(
+                    world, candidates, pf=pf, tau=tau, algorithm="PIN"
+                )
+                assert_same_result(got, want)
+            held = [
+                span["attrs"]["tables"]
+                for trace in engine.tracer.traces
+                for dispatch in trace["children"]
+                if dispatch["name"] == "dispatch"
+                for span in dispatch["children"]
+            ]
+        assert len(held) == 2 * len(taus)
+        assert held[:4] == [1, 1, 2, 2]
+        assert set(held[4:]) == {2}
+        assert_no_orphans()
 
     def test_columnar_spans_keep_shm_clean(self, world, candidates, pf):
         before = shm_entries()

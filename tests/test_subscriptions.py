@@ -11,8 +11,10 @@ update-storm faults, events, metrics, JSONL records).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
+from collections import deque
 
 import numpy as np
 import pytest
@@ -22,10 +24,15 @@ from hypothesis import strategies as st
 from repro.core.minmax_radius import min_max_radius
 from repro.core.naive import NaiveAlgorithm
 from repro.core.pruning import CLASSIFY_GUARD, classify_span
-from repro.core.safe_region import guarded_split, margins_span
+from repro.core.safe_region import (
+    guarded_split,
+    margins_span,
+    mbr_distances,
+)
 from repro.engine.faults import FaultInjector, FaultSpec
 from repro.engine.pool import fork_available
 from repro.engine.session import QueryEngine
+from repro.engine import subscriptions
 from repro.engine.subscriptions import (
     SUBSCRIPTION_ALGORITHMS,
     SubscriptionEngine,
@@ -33,6 +40,7 @@ from repro.engine.subscriptions import (
     SubscriptionSnapshot,
     UpdateShed,
 )
+from repro.geo.mbr import MBR
 from repro.model import Candidate
 from repro.prob import LinearPF, PowerLawPF
 
@@ -88,6 +96,50 @@ class TestSubscribeBasics:
         expected, res = oracle_influences(eng, cands, 0.3, pf)
         assert snap.influences == expected
         assert snap.best_candidate.candidate_id == res.best_candidate.candidate_id
+
+    def test_later_subscription_keeps_earlier_marks(self, pf):
+        # An object counting toward a subscription is scored again by a
+        # later one in the same group; when it then moves away, both
+        # must lose it.
+        eng = SubscriptionEngine(window=1, default_pf=pf)
+        eng.ingest(0, 0.0, 0.0)
+        first = eng.subscribe([(0.0, 0.0)], tau=0.3)
+        second = eng.subscribe([(0.1, 0.0), (50.0, 50.0)], tau=0.3)
+        assert eng.snapshot(first).influences == (1,)
+        assert eng.snapshot(second).influences == (1, 0)
+        eng.ingest(0, 50.0, 50.0)
+        assert eng.snapshot(first).influences == (0,)
+        assert eng.snapshot(second).influences == (0, 1)
+        for sid, cands in ((first, [(0.0, 0.0)]),
+                           (second, [(0.1, 0.0), (50.0, 50.0)])):
+            expected, _ = oracle_influences(eng, cands, 0.3, pf)
+            assert eng.snapshot(sid).influences == expected
+
+    def test_windows_match_a_deque_reference(self, pf):
+        # Rounds that repeat objects, overfill windows and add objects:
+        # each window holds the last `window` positions in arrival
+        # order, and its MBR is theirs.
+        rng = np.random.default_rng(12)
+        eng = SubscriptionEngine(window=3, default_pf=pf)
+        want: dict[int, deque] = {}
+        for _ in range(30):
+            oids = rng.integers(0, 9, size=int(rng.integers(1, 12)))
+            xy = rng.uniform(0.0, 10.0, size=(oids.size, 2))
+            updates = list(zip(oids.tolist(), *xy.T.tolist()))
+            eng.ingest_batch(updates)
+            for oid, x, y in updates:
+                want.setdefault(oid, deque(maxlen=3)).append((x, y))
+            got = {o.object_id: o.positions for o in eng.fleet()}
+            assert list(got) == list(want)
+            for oid, win in want.items():
+                positions = np.array(win)
+                np.testing.assert_array_equal(got[oid], positions)
+                np.testing.assert_array_equal(
+                    eng._mbrs[eng._slots[oid]],
+                    np.concatenate(
+                        [positions.min(axis=0), positions.max(axis=0)]
+                    ),
+                )
 
     def test_validation_errors(self, pf):
         eng = SubscriptionEngine(default_pf=pf)
@@ -447,6 +499,109 @@ class TestAdmissionAndFaults:
         assert_no_orphans()
 
 
+class TestGroupPass:
+    """A round's crossing objects go through one pass per group; it must
+    equal recomputing them one crossing at a time."""
+
+    N_OBJECTS = 40
+
+    def seeded_engine(self):
+        # Under LinearPF(rho=0.5) a one-position window is dead at tau
+        # 0.6 and alive at 0.3: objects 20..29 hold one position, so
+        # the round below brings them to life in the tau-0.6 group.
+        pf = PROPERTY_PFS[1]
+        rng = np.random.default_rng(31)
+        eng = SubscriptionEngine(window=3, default_pf=pf)
+        anchors = rng.uniform(0.0, 12.0, size=(self.N_OBJECTS, 2))
+        for oid in range(30):
+            eng.ingest(oid, *anchors[oid])
+        for oid in range(20):
+            eng.ingest(oid, *(anchors[oid] + rng.normal(0.0, 0.5, 2)))
+        subs = [
+            eng.subscribe(
+                [tuple(xy) for xy in rng.uniform(0.0, 12.0, (3, 2)).tolist()],
+                tau=tau,
+            )
+            for tau in (0.6, 0.3, 0.6, 0.3)
+        ]
+        eng.unsubscribe(subs[2])     # tombstoned rows in the 0.6 group
+        updates = [
+            (oid, *(anchors[oid] + rng.normal(0.0, 1.5, 2)).tolist())
+            for oid in range(10, self.N_OBJECTS)
+        ]
+        return eng, updates
+
+    @staticmethod
+    def int_counters(eng):
+        return {
+            f.name: getattr(eng.counters, f.name)
+            for f in dataclasses.fields(eng.counters)
+            if isinstance(getattr(eng.counters, f.name), int)
+        }
+
+    @staticmethod
+    def group_state(eng):
+        return [
+            (g.ref_mbrs.tobytes(), g.ref_radii.tobytes(), g.slacks.tobytes(),
+             g.marks)
+            for g in eng._groups.values()
+        ]
+
+    def test_mbr_distances_equal_the_mbr_methods(self):
+        # the pass's distance block is the per-object MBR methods' bits
+        rng = np.random.default_rng(4)
+        lo = rng.uniform(-5.0, 5.0, size=(30, 2))
+        mbrs = np.hstack([lo, lo + rng.uniform(0.0, 3.0, size=(30, 2))])
+        mbrs[:5, 2:] = mbrs[:5, :2]          # one-position objects
+        xy = rng.uniform(-8.0, 8.0, size=(17, 2))
+        min_d, max_d = mbr_distances(mbrs, xy)
+        for i, row in enumerate(mbrs.tolist()):
+            mbr = MBR(*row)
+            assert min_d[i].tobytes() == mbr.min_dist_many(xy).tobytes()
+            assert max_d[i].tobytes() == mbr.max_dist_many(xy).tobytes()
+
+    @pytest.mark.parametrize("tile_elems", [None, 24])
+    def test_one_pass_equals_one_crossing_at_a_time(
+        self, tile_elems, monkeypatch
+    ):
+        if tile_elems is not None:
+            # four crossers per tile over each group's 6 rows
+            monkeypatch.setattr(
+                subscriptions, "CLASSIFY_TILE_ELEMS", tile_elems
+            )
+        together, updates = self.seeded_engine()
+        apart, same_updates = self.seeded_engine()
+        assert updates == same_updates
+        slot = together._slots[25]
+        dead_group = next(
+            g for g in together._groups.values() if g.tau == 0.6
+        )
+        assert np.isnan(dead_group.ref_radii[slot])
+
+        round_report = together.ingest_batch(updates)
+        reports = [apart.ingest_batch([u]) for u in updates]
+
+        assert np.isfinite(dead_group.ref_radii[slot])   # came alive
+        assert round_report.crossings > len(updates)     # both groups
+        assert round_report.validations > 0
+        for field in ("offered", "applied", "safe_region_hits",
+                      "crossings", "validations"):
+            assert getattr(round_report, field) == sum(
+                getattr(r, field) for r in reports
+            ), field
+        assert self.int_counters(together) == self.int_counters(apart)
+        assert self.group_state(together) == self.group_state(apart)
+        assert [o.object_id for o in together.fleet()] == \
+            [o.object_id for o in apart.fleet()]
+        for sid in together.subscriptions():
+            # versions count the rounds that changed a result set, so
+            # only the result sets themselves must agree
+            got, want = together.snapshot(sid), apart.snapshot(sid)
+            assert got.influences == want.influences
+            assert got.best_candidate == want.best_candidate
+            assert got.best_influence == want.best_influence
+
+
 class TestObservability:
     def test_metrics_registered_and_counting(self, pf):
         eng = SubscriptionEngine(window=2, default_pf=pf)
@@ -483,7 +638,7 @@ class TestObservability:
         assert "ingest" in kinds
         assert "recompute" in kinds
         assert "ingest-shed" in kinds
-        assert all(l["schema"] == 1 for l in lines)
+        assert all(l["schema"] == 2 for l in lines)
 
     def test_trace_spans(self, pf, tmp_path):
         from repro.engine.trace import Tracer
@@ -549,7 +704,7 @@ class TestBitIdentityProperty:
                 eng.unsubscribe(sid)
                 del live[sid]
             elif entry[0] == "forget" and eng.n_objects:
-                oid = sorted(eng._windows)[0]
+                oid = min(o.object_id for o in eng.fleet())
                 eng.forget_object(oid)
         for sid, (cands, tau) in live.items():
             snap = eng.snapshot(sid)
